@@ -9,7 +9,7 @@ import numpy as np
 
 from sgnn import graphs as G
 from sgnn import model as M
-from sgnn.estimators import sample_realization_seq
+from sgnn.estimators import sample_stack
 
 rng = np.random.default_rng(1)
 
@@ -35,7 +35,7 @@ params = M.init_params(arch, rng)
 print(f"network consumes {arch.shift_count()} sampled shifts per pass "
       f"(headline count {arch.paper_shift_count()})")
 
-seq = sample_realization_seq(gres, arch, rng)
+seq = sample_stack(gres, arch, 1, rng)
 out, tape = M.sgnn_forward(params, seq, x)
 print(f"output bound check: ||phi|| = {np.linalg.norm(out):.4f} <= "
       f"{M.output_bound(arch, float(np.linalg.norm(x))):.4f} (worst case)")

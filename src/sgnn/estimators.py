@@ -19,15 +19,15 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, GraphError
-from .graphs import GresModel, enumerate_gres, sample_gres_batch
+from .graphs import GresModel, enumerate_masks, sample_gres_masks
 from .model import (
     PER_FILTER,
     Architecture,
     ForwardTape,
-    RealizationSeq,
-    RealizationStack,
+    Realizations,
     SgnnParams,
     forward_stack,
+    layer_positions,
 )
 
 
@@ -79,55 +79,20 @@ class MomentReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_realization_seq(gres: GresModel, arch: Architecture,
-                           rng: np.random.Generator,
-                           mode: str = PER_FILTER) -> RealizationSeq:
-    """Draw the shifts one forward pass needs, layer by layer.
+def sample_stack(gres: GresModel, arch: Architecture, count: int,
+                 rng: np.random.Generator, mode: str = PER_FILTER,
+                 antithetic: bool = False) -> Realizations:
+    """``count`` independent realization sequences, as GRES edge masks.
 
     In per-filter mode every (filter, tap) position gets an independent
     GRES draw; in shared mode one draw per tap index is reused across the
-    bank.  Draw order is layers outermost, then (f, g, k) row-major.
+    bank.  Draw order is layers outermost, then (count, f, g, k) row-major.
     """
-    stack = sample_stack(gres, arch, 1, rng, mode)
-    return stack.seq(0)
-
-
-def sample_stack(gres: GresModel, arch: Architecture, count: int,
-                 rng: np.random.Generator, mode: str = PER_FILTER,
-                 antithetic: bool = False) -> RealizationStack:
-    """``count`` independent realization sequences stacked for batched math."""
-    n = gres.n
-    k = arch.order
-    layer_shifts = []
-    for l in range(arch.layers):
-        if mode == PER_FILTER:
-            f_out, f_in = arch.features[l + 1], arch.features[l]
-            mats = sample_gres_batch(gres, count * f_out * f_in * k, rng, antithetic) \
-                if k else np.zeros((0, n, n))
-            layer_shifts.append(mats.reshape(count, f_out, f_in, k, n, n))
-        else:
-            mats = sample_gres_batch(gres, count * k, rng, antithetic) \
-                if k else np.zeros((0, n, n))
-            layer_shifts.append(mats.reshape(count, k, n, n))
-    return RealizationStack(layer_shifts, mode, n, count)
-
-
-def _seq_from_matrices(arch: Architecture, mode: str, n: int, mats: list) -> RealizationSeq:
-    """Assemble a sequence from explicit matrices in sampling order."""
-    layer_shifts, pos = [], 0
-    k = arch.order
-    for l in range(arch.layers):
-        if mode == PER_FILTER:
-            f_out, f_in = arch.features[l + 1], arch.features[l]
-            cnt = f_out * f_in * k
-            block = np.stack(mats[pos:pos + cnt]) if cnt else np.zeros((0, n, n))
-            layer_shifts.append(block.reshape(f_out, f_in, k, n, n))
-        else:
-            cnt = k
-            block = np.stack(mats[pos:pos + cnt]) if cnt else np.zeros((0, n, n))
-            layer_shifts.append(block.reshape(k, n, n))
-        pos += cnt
-    return RealizationSeq(layer_shifts, mode, n)
+    layers = []
+    for shape in layer_positions(arch, mode):
+        bits = sample_gres_masks(gres, count * int(np.prod(shape)), rng, antithetic)
+        layers.append(bits.reshape((count,) + shape + bits.shape[1:]))
+    return Realizations(layers, mode, gres.n, gres)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +134,7 @@ def estimate_cost(params: SgnnParams, gres: GresModel, batch, cfg: McConfig,
     """Empirical expected cost: mean over realizations of the mean batch loss."""
     rng = cfg.rng()
     stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode, cfg.antithetic)
-    tape = forward_stack(params, stack, batch.x)
+    tape = forward_stack(params, stack, batch.x, keep_tape=False)
     pred = tape.logits if tape.logits is not None else _phi(tape)
     return float(loss.value(pred, batch))
 
@@ -181,7 +146,7 @@ def estimate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
         raise ConfigError("plug-in variance needs at least two realizations")
     rng = cfg.rng()
     stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode, cfg.antithetic)
-    tape = forward_stack(params, stack, _single_input(x))
+    tape = forward_stack(params, stack, _single_input(x), keep_tape=False)
     phi = _phi(tape)[:, :, 0]                    # (N, n)
     m1 = phi.mean(axis=0)
     m2 = (phi * phi).mean(axis=0)
@@ -209,9 +174,9 @@ def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
         raise ConfigError("need at least 100 realizations for a deviation probability")
     xb = _single_input(x)
     ref_stack = sample_stack(gres, params.arch, m_realizations, rng, mode)
-    ref = _phi(forward_stack(params, ref_stack, xb))[:, :, 0].mean(axis=0)
+    ref = _phi(forward_stack(params, ref_stack, xb, keep_tape=False))[:, :, 0].mean(axis=0)
     stack = sample_stack(gres, params.arch, m_realizations, rng, mode)
-    phi = _phi(forward_stack(params, stack, xb))[:, :, 0]
+    phi = _phi(forward_stack(params, stack, xb, keep_tape=False))[:, :, 0]
     sq = np.mean((phi - ref) ** 2, axis=1)
     return float(np.mean(sq <= eps))
 
@@ -231,19 +196,17 @@ def mc_stderr(samples: np.ndarray) -> float:
 
 def enumerate_sequences(gres: GresModel, arch: Architecture, mode: str = PER_FILTER,
                         limit: int = 4096):
-    """Yield (probability, RealizationSeq) over every realization sequence."""
+    """Yield (probability, one-sequence Realizations) over every realization sequence."""
     p = arch.shift_count(mode)
-    per_shift = list(enumerate_gres(gres))
-    total = len(per_shift) ** p
+    bits, probs = enumerate_masks(gres)
+    total = probs.size ** p
     if total > limit:
         raise GraphError(f"sequence space of size {total} exceeds enumeration limit")
-    for combo in itertools.product(per_shift, repeat=p):
+    for combo in itertools.product(range(probs.size), repeat=p):
         prob = 1.0
-        mats = []
-        for pr, m in combo:
-            prob *= pr
-            mats.append(m)
-        yield prob, _seq_from_matrices(arch, mode, gres.n, mats)
+        for c in combo:
+            prob *= float(probs[c])
+        yield prob, Realizations.from_rows(arch, mode, gres.n, bits[list(combo)], gres)
 
 
 def enumerate_cost(params: SgnnParams, gres: GresModel, batch, loss,
@@ -251,8 +214,7 @@ def enumerate_cost(params: SgnnParams, gres: GresModel, batch, loss,
     """Probability-weighted exact expected cost over all sequences."""
     total = 0.0
     for prob, seq in enumerate_sequences(gres, params.arch, mode):
-        stack = RealizationStack([s[None] for s in seq.layer_shifts], mode, gres.n, 1)
-        tape = forward_stack(params, stack, batch.x)
+        tape = forward_stack(params, seq, batch.x, keep_tape=False)
         pred = tape.logits if tape.logits is not None else _phi(tape)
         total += prob * float(loss.value(pred, batch))
     return total
@@ -266,8 +228,7 @@ def enumerate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
     m1 = np.zeros(n)
     m2 = np.zeros(n)
     for prob, seq in enumerate_sequences(gres, params.arch, mode):
-        stack = RealizationStack([s[None] for s in seq.layer_shifts], mode, n, 1)
-        phi = _phi(forward_stack(params, stack, xb))[0, :, 0]
+        phi = _phi(forward_stack(params, seq, xb, keep_tape=False))[0, :, 0]
         m1 += prob * phi
         m2 += prob * phi * phi
     per_node = np.maximum(m2 - m1 * m1, 0.0)

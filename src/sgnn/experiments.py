@@ -250,10 +250,12 @@ def load_movielens(path, n_users: int = 943, n_items: int = 1682,
     """Parse a tab-separated ``u.data`` rating file into a dense matrix.
 
     Ids are 1-based in the file; the returned users x items matrix uses 0
-    for unrated.  Malformed lines and out-of-range ids raise with the line
-    number; a wrong total count raises when ``expect_count`` is given.
+    for unrated.  Malformed lines, out-of-range ids and a repeated (user,
+    item) pair raise with the line number; a wrong total count raises when
+    ``expect_count`` is given.
     """
     ratings = np.zeros((n_users, n_items))
+    first_line = np.zeros((n_users, n_items), dtype=np.int32)
     count = 0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -270,6 +272,10 @@ def load_movielens(path, n_users: int = 943, n_items: int = 1682,
             if not (1 <= user <= n_users and 1 <= item <= n_items):
                 raise ConfigError(
                     f"{path}:{lineno}: id ({user},{item}) outside {n_users}x{n_items}")
+            if first_line[user - 1, item - 1]:
+                raise ConfigError(f"{path}:{lineno}: ({user},{item}) already rated on line "
+                                  f"{first_line[user - 1, item - 1]}")
+            first_line[user - 1, item - 1] = lineno
             ratings[user - 1, item - 1] = rating
             count += 1
     if expect_count is not None and count != expect_count:
@@ -347,7 +353,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
     same probability.  One sample per (user, rated covered movie): the
     held-out entry is zeroed in the input and must be predicted at its node.
     """
-    corrs = pearson_correlations(ratings)
+    corrs = pearson_correlations(ratings, top=cfg.keep_top + cfg.add_next)
     if len(corrs) < cfg.keep_top + cfg.add_next:
         raise ConfigError(
             f"only {len(corrs)} correlated pairs; need {cfg.keep_top + cfg.add_next}")
@@ -475,8 +481,8 @@ def _evaluate_source_loc(params, gres, dataset, draws, rng, mode_realizations):
     accs = np.empty(draws)
     for d in range(draws):
         stack = sample_stack(gres, params.arch, 1, rng, mode_realizations)
-        tape = forward_stack(params, stack, batch.x)
-        pred = np.argmax(tape.logits[0], axis=0)
+        logits = forward_stack(params, stack, batch.x, keep_tape=False).logits
+        pred = np.argmax(logits[0], axis=0)
         accs[d] = metric_accuracy(pred, batch.y)
     return accs
 
@@ -493,12 +499,10 @@ def _evaluate_recsys(params, task, draws, rng, mode_realizations):
     ads = np.empty(draws)
     for d in range(draws):
         stack = sample_stack(task.gres, params.arch, 1, rng, mode_realizations)
-        tape = forward_stack(params, stack, batch.x)
-        pred = tape.output[0, 0]
+        pred = forward_stack(params, stack, batch.x, keep_tape=False).output[0, 0]
         rmses[d] = metric_rmse(pred, batch.y, batch.mask)
-        stack_u = sample_stack(task.gres, params.arch, 1, rng, mode_realizations)
-        tape_u = forward_stack(params, stack_u, user_inputs)
-        pred_u = tape_u.output[0, 0]
+        stack = sample_stack(task.gres, params.arch, 1, rng, mode_realizations)
+        pred_u = forward_stack(params, stack, user_inputs, keep_tape=False).output[0, 0]
         lists = [top_k_items(pred_u[:, u], rated[u]) for u in range(users.size)]
         ads[d] = metric_ad_at_k(lists, 10)
     return rmses, ads

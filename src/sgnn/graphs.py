@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -229,20 +231,84 @@ class GresModel:
     def m_add(self) -> int:
         return len(self.add_edges)
 
-    def _sampler_cache(self):
-        """Static arrays reused by every sampling call."""
-        cache = getattr(self, "_sampler", None)
-        if cache is None:
-            base = _adjacency_from_edges(self.n, _kept_edges(self))
-            def cols(edges):
-                if not edges:
-                    return None
-                return (np.array([e[0] for e in edges]),
-                        np.array([e[1] for e in edges]),
-                        np.array([e[2] for e in edges]))
-            cache = (base, cols(self.drop_edges), cols(self.add_edges))
-            object.__setattr__(self, "_sampler", cache)
-        return cache
+    @cached_property
+    def _sampler(self):
+        return _Sampler(self)
+
+    def realize(self, bits: np.ndarray) -> np.ndarray:
+        """Fresh dense shifts (m, n, n) for presence bits (m, M_d + M_a)."""
+        sampler = self._sampler
+        buf = np.broadcast_to(sampler.base, (len(bits),) + sampler.base.shape).copy()
+        sampler.write(buf, bits, np.zeros(0, dtype=np.intp))
+        return buf
+
+    def thread_cache(self, name: str) -> dict:
+        """A dict of this model's reused buffers, private to the calling thread."""
+        return self._sampler.local.__dict__.setdefault(name, {})
+
+    def materialize(self, bits: np.ndarray) -> np.ndarray:
+        """Dense shifts for ``bits``, in a workspace the next call on this thread
+        for as many shifts overwrites."""
+        sampler = self._sampler
+        pool = self.thread_cache("workspaces")
+        if len(bits) not in pool:
+            if len(pool) >= WORKSPACES_PER_THREAD:
+                del pool[next(iter(pool))]
+            nominal = np.broadcast_to(sampler.nominal_bits, bits.shape)
+            pool[len(bits)] = [self.realize(nominal), np.zeros(0, dtype=np.intp)]
+        entry = pool[len(bits)]
+        entry[1] = sampler.write(entry[0], bits, entry[1])
+        return entry[0]
+
+
+WORKSPACES_PER_THREAD = 4
+
+
+class _Sampler:
+    """The nominal shift and its random edges: drop edges (present in it) first."""
+
+    def __init__(self, model: GresModel):
+        n = model.n
+        edges = model.drop_edges + model.add_edges
+        self.ii = np.array([e[0] for e in edges], dtype=np.intp)
+        self.jj = np.array([e[1] for e in edges], dtype=np.intp)
+        self.nominal_bits = np.arange(len(edges)) < model.m_drop
+        # the adjacency entry of an edge whose bit differs from nominal
+        self.flipped = np.array([0.0] * model.m_drop + [e[2] for e in model.add_edges])
+        a = _adjacency_from_edges(n, _kept_edges(model) + model.drop_edges)
+        self.laplacian = model.nominal.kind == LAPLACIAN
+        self.base = a
+        if self.laplacian:
+            self.base, self.flipped = -a, -self.flipped
+            self.base[np.arange(n), np.arange(n)] = a.sum(axis=1)
+        self.local = threading.local()
+
+    def __getstate__(self):       # copies get workspaces of their own
+        return {k: v for k, v in vars(self).items() if k != "local"}
+
+    def __setstate__(self, state):
+        vars(self).update(state, local=threading.local())
+
+    def write(self, buf, bits, dirty):
+        """Make ``buf`` (m, n, n), nominal but at flat indices ``dirty``, the
+        realizations ``bits`` (m, M): put those back, then write the edges off
+        their nominal state.  Returns the indices written."""
+        n = len(self.base)
+        flat = buf.reshape(-1)
+        flat[dirty] = self.base.reshape(-1)[dirty % (n * n)]
+        r, e = np.nonzero(bits != self.nominal_bits)
+        ii, jj = r * n + self.ii[e], r * n + self.jj[e]     # rows of buf.reshape(-1, n)
+        upper, lower = ii * n + self.jj[e], jj * n + self.ii[e]
+        flat[upper] = flat[lower] = self.flipped[e]
+        if not self.laplacian:
+            return np.concatenate([upper, lower])
+        # the diagonal is the row sum of the realized adjacency, -L off it
+        rows = np.unique(np.concatenate([ii, jj]))
+        block = buf.reshape(-1, n)[rows]
+        block[np.arange(rows.size), rows % n] = -0.0
+        diag = rows * n + rows % n
+        flat[diag] = -block.sum(axis=1)
+        return np.concatenate([upper, lower, diag])
 
 
 def _kept_edges(model: GresModel):
@@ -259,36 +325,27 @@ def _uniforms(rng, count, width, antithetic):
     return np.concatenate([u, 1.0 - u], axis=0)[:count]
 
 
-def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator,
+def sample_gres_masks(model: GresModel, count: int, rng: np.random.Generator,
                       antithetic: bool = False) -> np.ndarray:
-    """``count`` independent GRES realizations, stacked as (count, n, n).
+    """Presence bits (count, M_d + M_a) of ``count`` GRES realizations.
 
     Draw order is fixed (all drop uniforms first, then all add uniforms) so a
     given generator state always produces the same realizations.  A drop edge
     is present when its uniform is >= p; an add edge is present when its
     uniform is < q.
     """
-    n = model.n
-    base, drop_cols, add_cols = model._sampler_cache()
-    a = np.broadcast_to(base, (count, n, n)).copy()
-    if drop_cols is not None:
-        u = _uniforms(rng, count, model.m_drop, antithetic)
-        di, dj, dw = drop_cols
-        kept = (u >= model.p) * dw
-        a[:, di, dj] = kept
-        a[:, dj, di] = kept
-    if add_cols is not None:
-        u = _uniforms(rng, count, model.m_add, antithetic)
-        ai, aj, aw = add_cols
-        present = (u < model.q) * aw
-        a[:, ai, aj] = present
-        a[:, aj, ai] = present
-    if model.nominal.kind == LAPLACIAN:
-        lap = -a
-        idx = np.arange(n)
-        lap[:, idx, idx] = a.sum(axis=2)
-        return lap
-    return a
+    bits = np.empty((count, model.m_drop + model.m_add), dtype=bool)
+    if model.m_drop:
+        bits[:, :model.m_drop] = _uniforms(rng, count, model.m_drop, antithetic) >= model.p
+    if model.m_add:
+        bits[:, model.m_drop:] = _uniforms(rng, count, model.m_add, antithetic) < model.q
+    return bits
+
+
+def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator,
+                      antithetic: bool = False) -> np.ndarray:
+    """``count`` independent GRES realizations, stacked as (count, n, n)."""
+    return model.realize(sample_gres_masks(model, count, rng, antithetic))
 
 
 def sample_gres(model: GresModel, rng: np.random.Generator) -> ShiftOperator:
@@ -348,37 +405,31 @@ def expected_square(model: GresModel) -> np.ndarray:
     return out
 
 
+def enumerate_masks(model: GresModel):
+    """Every realization's presence bits (2^M, M) and probability (2^M,).
+
+    Realization c has edge t present when bit t of c is set.  Only feasible
+    for small random edge sets (M = M_d + M_a <= 20).
+    """
+    md, m = model.m_drop, model.m_drop + model.m_add
+    if m > 20:
+        raise GraphError("realization space too large to enumerate")
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    prob = np.ones(1 << m)
+    for t in range(m):
+        on, off = (1.0 - model.p, model.p) if t < md else (model.q, 1.0 - model.q)
+        prob *= np.where(bits[:, t], on, off)
+    return bits, prob
+
+
 def enumerate_gres(model: GresModel):
     """Yield (probability, matrix) over all 2^(M_d + M_a) realizations.
 
-    Only feasible for small random edge sets; used as the brute-force oracle
-    for the closed-form moments.
+    The brute-force oracle for the closed-form moments.
     """
-    md, ma = model.m_drop, model.m_add
-    if md + ma > 20:
-        raise GraphError("realization space too large to enumerate")
-    n = model.n
-    base = _adjacency_from_edges(n, _kept_edges(model))
-    for mask in range(1 << (md + ma)):
-        prob = 1.0
-        a = base.copy()
-        for t, (i, j, w) in enumerate(model.drop_edges):
-            present = (mask >> t) & 1
-            prob *= (1.0 - model.p) if present else model.p
-            if present:
-                a[i, j] += w
-                a[j, i] += w
-        for t, (i, j, w) in enumerate(model.add_edges):
-            present = (mask >> (md + t)) & 1
-            prob *= model.q if present else (1.0 - model.q)
-            if present:
-                a[i, j] += w
-                a[j, i] += w
-        if model.nominal.kind == LAPLACIAN:
-            m = np.diag(a.sum(axis=1)) - a
-        else:
-            m = a
-        yield prob, m
+    bits, prob = enumerate_masks(model)
+    for c in range(prob.size):
+        yield float(prob[c]), model.realize(bits[c:c + 1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +563,16 @@ def sbm_generate(n: int, c: int, p_intra: float, p_inter: float,
     return Graph(n, edges)
 
 
-def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2) -> list:
-    """All item-pair Pearson correlations over co-rated users, sorted.
+def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2,
+                         top: int | None = None) -> list:
+    """Item-pair Pearson correlations over co-rated users, sorted.
 
     ``ratings`` is users x items with 0 marking a missing rating.  For each
     pair the correlation is computed over users that rated both items; pairs
     with fewer than ``min_coraters`` co-raters, or with a constant rating
     vector on the co-rated set, get correlation 0 and are omitted.  Returns
     (i, j, corr) triples sorted by decreasing signed correlation, ties broken
-    by (i, j) for determinism.
+    by (i, j) for determinism; only the first ``top`` when it is given.
     """
     r = np.asarray(ratings, dtype=float)
     mask = (r != 0).astype(float)
@@ -540,9 +592,16 @@ def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2) -> list:
     iu, ju = np.triu_indices(r.shape[1], k=1)
     vals = corr[iu, ju]
     nz = np.nonzero(vals)[0]
-    triples = [(int(iu[k]), int(ju[k]), float(vals[k])) for k in nz]
-    triples.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return triples
+    neg = -vals[nz]
+    if top is not None and top < nz.size:
+        # every pair tied with the top-th value survives, so the (i, j)
+        # tie-break below still picks among all of them
+        kth = np.partition(neg, top - 1)[top - 1] if top > 0 else -np.inf
+        keep = neg <= kth
+        nz, neg = nz[keep], neg[keep]
+    order = np.lexsort((ju[nz], iu[nz], neg))[:top]
+    nz = nz[order]
+    return [(int(i), int(j), float(v)) for i, j, v in zip(iu[nz], ju[nz], vals[nz])]
 
 
 def pearson_graph(ratings: np.ndarray, keep_top: int) -> Graph:
@@ -551,8 +610,7 @@ def pearson_graph(ratings: np.ndarray, keep_top: int) -> Graph:
     Edge weights are the signed Pearson correlations; the global top
     ``keep_top`` pairs are retained.
     """
-    triples = pearson_correlations(ratings)[:keep_top]
-    return Graph(ratings.shape[1], tuple(triples))
+    return Graph(ratings.shape[1], tuple(pearson_correlations(ratings, top=keep_top)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,17 @@ class Architecture:
 
 
 def _activation_fns(arch: Architecture):
+    """The pointwise nonlinearity, applied in place, and its derivative."""
     s = arch.leaky_slope
     if arch.activation == RELU:
-        return (lambda u: np.maximum(u, 0.0), lambda u: (u > 0).astype(float))
+        return (lambda u: np.maximum(u, 0.0, out=u), lambda u: (u > 0).astype(float))
     if arch.activation == LEAKY_RELU:
         return (
-            lambda u: np.where(u > 0, u, s * u),
+            lambda u: np.multiply(u, s, out=u, where=u <= 0),
             lambda u: np.where(u > 0, 1.0, s),
         )
     if arch.activation == ABS:
-        return (np.abs, np.sign)
+        return (lambda u: np.abs(u, out=u), np.sign)
     return (lambda u: u, lambda u: np.ones_like(u))
 
 
@@ -191,58 +192,75 @@ def zeros_like_params(params: SgnnParams) -> SgnnParams:
 
 
 # ---------------------------------------------------------------------------
-# Realization sequences
+# Realizations
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RealizationSeq:
-    """Sampled shift operators consumed by one forward pass.
+def layer_positions(arch: Architecture, mode: str) -> list:
+    """Per layer, the index shape of its random shifts: (F_out, F_in, K) or (K,)."""
+    if mode == PER_FILTER:
+        return [(arch.features[l + 1], arch.features[l], arch.order)
+                for l in range(arch.layers)]
+    return [(arch.order,)] * arch.layers
 
-    Per layer, ``layer_shifts[l]`` holds the tap-k shifts: in per-filter mode
-    an (F_out, F_in, K, n, n) array with an independent draw for every filter
-    and tap; in shared mode a (K, n, n) array reused by the whole bank.
+
+@dataclass
+class Realizations:
+    """``count`` realization sequences: every shift the forward passes consume.
+
+    ``layers[l]`` is indexed (count, F_out, F_in, K) in per-filter mode, a
+    draw per filter and tap, and (count, K) in shared mode, a draw per tap
+    for the whole bank.  Its trailing axis holds the presence bits of the
+    random edges of ``gres``, whose dense shifts exist only while a layer is
+    applied; with ``gres`` None, two trailing axes hold n x n matrices.
     """
 
-    layer_shifts: list
+    layers: list
     mode: str
     n: int
+    gres: object = None
+
+    @property
+    def count(self) -> int:
+        return self.layers[0].shape[0]
 
     @property
     def total(self) -> int:
-        """Number of distinct sampled shifts (the paper-facing P)."""
-        count = 0
-        for s in self.layer_shifts:
-            count += int(np.prod(s.shape[:-2]))
-        return count
+        """Number of distinct sampled shifts per sequence (the paper-facing P)."""
+        trailing = 2 if self.gres is None else 1
+        return sum(int(np.prod(a.shape[1:a.ndim - trailing])) for a in self.layers)
+
+    @classmethod
+    def from_rows(cls, arch: Architecture, mode: str, n: int, rows, gres=None):
+        """One sequence from per-shift n x n matrices, or ``gres`` bits, in sampling order."""
+        rows = np.asarray(rows) if gres else np.asarray(rows, dtype=float).reshape(-1, n, n)
+        layers, pos = [], 0
+        for shape in layer_positions(arch, mode):
+            size = int(np.prod(shape))
+            layers.append(rows[pos:pos + size].reshape((1,) + shape + rows.shape[1:]))
+            pos += size
+        return cls(layers, mode, n, gres)
+
+    def seq(self, j: int) -> "Realizations":
+        """The j-th sequence as a one-realization view."""
+        return Realizations([a[j:j + 1] for a in self.layers], self.mode, self.n, self.gres)
+
+    def dense(self, layer: int) -> np.ndarray:
+        """A layer's shifts as (..., n, n), mask realizations in this thread's GRES workspace."""
+        a = self.layers[layer]
+        if self.gres is None:
+            return a
+        mats = self.gres.materialize(a.reshape(-1, a.shape[-1]))
+        return mats.reshape(a.shape[:-1] + (self.n, self.n))
 
     def shift(self, layer: int, f: int, g: int, k: int) -> np.ndarray:
-        """The shift applied at hop k (1-based) of filter (f, g) in a layer."""
-        s = self.layer_shifts[layer]
-        if self.mode == PER_FILTER:
-            return s[f, g, k - 1]
-        return s[k - 1]
-
-
-@dataclass
-class RealizationStack:
-    """N realization sequences stacked on a leading axis for batched math."""
-
-    layer_shifts: list   # per layer: (N, F_out, F_in, K, n, n) or (N, K, n, n)
-    mode: str
-    n: int
-    count: int
-
-    def seq(self, j: int) -> RealizationSeq:
-        return RealizationSeq([s[j] for s in self.layer_shifts], self.mode, self.n)
-
-
-def stack_seqs(seqs: list) -> RealizationStack:
-    first = seqs[0]
-    layer_shifts = [
-        np.stack([s.layer_shifts[l] for s in seqs]) for l in range(len(first.layer_shifts))
-    ]
-    return RealizationStack(layer_shifts, first.mode, first.n, len(seqs))
+        """The shift at hop k (1-based) of filter (f, g) of a one-realization view."""
+        if self.count != 1:
+            raise ConfigError("shift() reads one sequence; take seq(j) first")
+        pos = (0, f, g, k - 1) if self.mode == PER_FILTER else (0, k - 1)
+        if self.gres is None:
+            return self.layers[layer][pos]
+        return self.gres.realize(self.layers[layer][pos][None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +292,11 @@ def filter_apply(coeffs, shifts, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardTape:
-    """Replayable record of one (stacked) forward pass."""
+    """Replayable record of one (stacked) forward pass; an output-only pass
+    leaves every field but ``output`` and ``logits`` None."""
 
     params: SgnnParams
-    stack: RealizationStack
+    stack: Realizations
     layer_inputs: list    # per layer: (N, F_in, n, B)
     shifted: list         # per layer: list over k=1..K of (N, F, G, n, B) or (N, G, n, B)
     preacts: list         # per layer: (N, F_out, n, B)
@@ -294,47 +313,64 @@ def _params_token(params: SgnnParams) -> tuple:
     return tuple(id(a) for a in params.arrays())
 
 
-def forward_stack(params: SgnnParams, stack: RealizationStack, x: np.ndarray,
-                  check_finite: bool = True) -> ForwardTape:
+SCRATCH_BUFFERS = 32
+
+
+def _reused(pool, key, compute):
+    """``compute(out)`` into ``pool[key]``.  The first call keeps compute(None): the
+    buffer has the layout NumPy picks, so later calls sum to the same bits."""
+    if pool is None:
+        return compute(None)
+    if key in pool:
+        return compute(pool[key])
+    if len(pool) >= SCRATCH_BUFFERS:
+        pool.clear()
+    pool[key] = compute(None)
+    return pool[key]
+
+
+def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
+                  check_finite: bool = True, keep_tape: bool = True) -> ForwardTape:
     """Run the network over N stacked realizations at once.
 
     ``x`` has shape (F_0, n, B); the same batch rides along every
-    realization.  Raises NumericalError naming the layer if an intermediate
-    stops being finite.
+    realization.  With ``keep_tape`` False nothing is kept for a backward
+    pass: hops go into this thread's reused buffers, and only copies of the
+    output and logits are returned, bit-identical to the taped pass.  Raises
+    NumericalError naming the layer if an intermediate stops being finite.
     """
     arch = params.arch
     act, _ = _activation_fns(arch)
     n, count = stack.n, stack.count
     if x.shape[0] != arch.features[0] or x.shape[1] != n:
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
+    per_filter = stack.mode == PER_FILTER
+    spec = "fg,nfgib->nfib" if per_filter else "fg,ngib->nfib"
+    pool = None if keep_tape or stack.gres is None else stack.gres.thread_cache("hops")
     cur = np.broadcast_to(x, (count,) + x.shape)
     layer_inputs, shifted, preacts = [], [], []
     for l in range(arch.layers):
         taps = params.taps[l]
-        s = stack.layer_shifts[l]
-        k_order = arch.order
-        layer_inputs.append(cur)
+        s = stack.dense(l)
+        key = (stack.mode, l, taps.shape, taps.strides, cur.shape, cur.strides)
+        z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:]) \
+            if per_filter else cur
+        u = _reused(pool, ("u",) + key,
+                    lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
         zs = []
-        if stack.mode == PER_FILTER:
-            z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:])
-            for k in range(k_order):
-                z = np.matmul(s[:, :, :, k], z)
-                zs.append(z)
-            u = np.einsum("fg,ngib->nfib", taps[:, :, 0], cur)
-            for k in range(k_order):
-                u += np.einsum("fg,nfgib->nfib", taps[:, :, k + 1], zs[k])
-        else:
-            z = cur
-            for k in range(k_order):
-                z = np.matmul(s[:, None, k], z)
-                zs.append(z)
-            u = np.einsum("fg,ngib->nfib", taps[:, :, 0], cur)
-            for k in range(k_order):
-                u += np.einsum("fg,ngib->nfib", taps[:, :, k + 1], zs[k])
+        for k in range(arch.order):
+            hop = s[:, :, :, k] if per_filter else s[:, None, k]
+            z = _reused(pool, ("z", k % 2) + key, lambda out: np.matmul(hop, z, out=out))
+            zs.append(z)
+            u += _reused(pool, ("term",) + key,
+                         lambda out: np.einsum(spec, taps[:, :, k + 1], z, out=out))
         if check_finite and not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite pre-activation at layer {l}")
-        shifted.append(zs)
-        preacts.append(u)
+        if keep_tape:
+            layer_inputs.append(cur)
+            shifted.append(zs)
+            preacts.append(u)
+            u = u.copy(order="K")
         cur = act(u)
     logits = None
     if params.readout_w is not None:
@@ -342,6 +378,8 @@ def forward_stack(params: SgnnParams, stack: RealizationStack, x: np.ndarray,
         logits = np.matmul(params.readout_w, flat) + params.readout_b[:, None]
         if check_finite and not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite readout logits")
+    if not keep_tape:
+        return ForwardTape(params, None, None, None, None, cur.copy(order="K"), logits)
     return ForwardTape(params, stack, layer_inputs, shifted, preacts, cur, logits)
 
 
@@ -357,6 +395,8 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     when requested).
     """
     params, stack = tape.params, tape.stack
+    if tape.preacts is None:
+        raise ConfigError("the forward pass kept no tape")
     if _params_token(params) != tape._token:
         raise NumericalError("stale tape: parameters changed since the forward pass")
     arch = params.arch
@@ -381,7 +421,6 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
 
     for l in reversed(range(arch.layers)):
         taps = params.taps[l]
-        s = stack.layer_shifts[l]
         k_order = arch.order
         x_in = tape.layer_inputs[l]
         zs = tape.shifted[l]
@@ -392,6 +431,7 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
             for k in range(k_order):
                 g[:, :, k + 1] = np.einsum("nfib,nfgib->fg", du, zs[k])
             if l > 0 or want_input_grad:
+                s = stack.dense(l)
                 acc = taps[:, :, k_order, None, None] * du[:, :, None]
                 for k in range(k_order - 1, -1, -1):
                     st = np.swapaxes(s[:, :, :, k], -1, -2)
@@ -403,6 +443,7 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
             for k in range(k_order):
                 g[:, :, k + 1] = np.einsum("nfib,ngib->fg", du, zs[k])
             if l > 0 or want_input_grad:
+                s = stack.dense(l)
                 acc = np.einsum("fg,nfib->ngib", taps[:, :, k_order], du)
                 for k in range(k_order - 1, -1, -1):
                     st = np.swapaxes(s[:, None, k], -1, -2)
@@ -432,7 +473,7 @@ def _as_batched(x: np.ndarray, arch: Architecture):
     raise ConfigError(f"cannot interpret input of shape {x.shape}")
 
 
-def sgnn_forward(params: SgnnParams, seq: RealizationSeq, x: np.ndarray):
+def sgnn_forward(params: SgnnParams, seq: Realizations, x: np.ndarray):
     """Single-sequence forward pass; returns (output, tape).
 
     The output is the readout logits when the architecture has a readout and
@@ -440,8 +481,7 @@ def sgnn_forward(params: SgnnParams, seq: RealizationSeq, x: np.ndarray):
     given: a plain length-n vector in, a length-n vector out (when F_L = 1).
     """
     xb, shape_kind = _as_batched(x, params.arch)
-    stack = RealizationStack([s[None] for s in seq.layer_shifts], seq.mode, seq.n, 1)
-    tape = forward_stack(params, stack, xb)
+    tape = forward_stack(params, seq, xb)
     if tape.logits is not None:
         out = tape.logits[0]
         out = out[:, 0] if shape_kind != "batched" else out
@@ -464,11 +504,6 @@ def sgnn_backward(tape: ForwardTape, upstream: np.ndarray) -> SgnnParams:
         return backward_stack(tape, d_logits=up)
     up = up.reshape(tape.output.shape)
     return backward_stack(tape, d_output=up)
-
-
-def pre_readout_output(tape: ForwardTape) -> np.ndarray:
-    """Final-layer activations (N, F_L, n, B): the signal the moments see."""
-    return tape.output
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def _dual_phase_metrics(params, gres, dataset, cfg, rng):
     batch = dataset.sample_batch(rng, cfg.batch_size, "train")
     stack = sample_stack(gres, params.arch, cfg.n_realizations, rng,
                          cfg.realization_mode)
-    tape = forward_stack(params, stack, batch.x)
+    tape = forward_stack(params, stack, batch.x, keep_tape=False)
     phi, pred = _phi_and_pred(tape)
     cost = loss.value(pred, batch)
     m1 = float(np.mean(phi))

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (
     McConfig,
-    _seq_from_matrices,
     deviation_probability,
     estimate_moments,
     sample_stack,
@@ -37,7 +36,7 @@ from .graphs import (
 from .model import (
     PER_FILTER,
     Architecture,
-    RealizationStack,
+    Realizations,
     SgnnParams,
     forward_stack,
     frequency_response,
@@ -347,10 +346,10 @@ def check_stability(params: SgnnParams, nominal: ShiftOperator, eps_list,
         for t in range(trials):
             base = [nominal.entries.copy() for _ in range(n_shifts)]
             pert = [b + _random_direction(n, eps, rng) for b in base]
-            seq0 = _seq_from_matrices(arch, PER_FILTER, n, base)
-            seq1 = _seq_from_matrices(arch, PER_FILTER, n, pert)
-            t0 = forward_stack(params, RealizationStack([s[None] for s in seq0.layer_shifts], PER_FILTER, n, 1), xb)
-            t1 = forward_stack(params, RealizationStack([s[None] for s in seq1.layer_shifts], PER_FILTER, n, 1), xb)
+            seq0 = Realizations.from_rows(arch, PER_FILTER, n, base)
+            seq1 = Realizations.from_rows(arch, PER_FILTER, n, pert)
+            t0 = forward_stack(params, seq0, xb, keep_tape=False)
+            t1 = forward_stack(params, seq1, xb, keep_tape=False)
             devs[t] = np.linalg.norm(t1.output - t0.output)
         mean_dev.append(float(devs.mean()))
     eps_arr = np.asarray(eps_list, dtype=float)
@@ -373,7 +372,7 @@ def check_output_bound(params: SgnnParams, gres: GresModel, draws: int,
     for _ in range(draws):
         x = rng.normal(size=gres.n)
         stack = sample_stack(gres, arch, 1, rng, PER_FILTER)
-        tape = forward_stack(params, stack, x[None, :, None])
+        tape = forward_stack(params, stack, x[None, :, None], keep_tape=False)
         c_y = output_bound(arch, float(np.linalg.norm(x)))
         ratio = float(np.linalg.norm(tape.output) / c_y)
         worst_ratio = max(worst_ratio, ratio)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sgnn import graphs as G
-from sgnn.estimators import _seq_from_matrices
-from sgnn.model import PER_FILTER, Architecture, RealizationSeq, init_params
+from sgnn.model import PER_FILTER, Architecture, Realizations, init_params
 
 
 def random_symmetric(n, rng, scale=0.25):
@@ -12,11 +11,11 @@ def random_symmetric(n, rng, scale=0.25):
 
 
 def random_seq(arch: Architecture, n: int, rng, mode=PER_FILTER,
-               scale=0.25) -> RealizationSeq:
+               scale=0.25) -> Realizations:
     """Independent random symmetric shifts for every position."""
     count = arch.shift_count(mode)
     mats = [random_symmetric(n, rng, scale) for _ in range(count)]
-    return _seq_from_matrices(arch, mode, n, mats)
+    return Realizations.from_rows(arch, mode, n, mats)
 
 
 def small_gres(n=6, p=0.3, q=0.2, kind=G.ADJACENCY, seed=0, normalize=True):

@@ -19,7 +19,7 @@ class TestSampleRealizationSeq:
     def test_degenerate_gives_nominal_everywhere(self, rng):
         gres = small_gres(p=0.0, q=0.0)
         arch = Architecture((1, 2, 1), 2)
-        seq = E.sample_realization_seq(gres, arch, rng)
+        seq = E.sample_stack(gres, arch, 1, rng)
         for l in range(arch.layers):
             for f in range(arch.features[l + 1]):
                 for g in range(arch.features[l]):
@@ -30,25 +30,27 @@ class TestSampleRealizationSeq:
     def test_same_seed_identical(self):
         gres = small_gres(p=0.4, q=0.2)
         arch = Architecture((1, 2, 1), 2)
-        a = E.sample_realization_seq(gres, arch, np.random.default_rng(3))
-        b = E.sample_realization_seq(gres, arch, np.random.default_rng(3))
-        for sa, sb in zip(a.layer_shifts, b.layer_shifts):
-            np.testing.assert_array_equal(sa, sb)
+        a = E.sample_stack(gres, arch, 1, np.random.default_rng(3))
+        b = E.sample_stack(gres, arch, 1, np.random.default_rng(3))
+        for l in range(arch.layers):
+            np.testing.assert_array_equal(a.dense(l).copy(), b.dense(l))
 
     def test_derived_streams_differ(self):
         gres = small_gres(p=0.5, q=0.4)
         arch = Architecture((1, 2, 1), 2)
-        a = E.sample_realization_seq(gres, arch, R.derive(0, 1))
-        b = E.sample_realization_seq(gres, arch, R.derive(0, 2))
-        assert any(not np.array_equal(sa, sb)
-                   for sa, sb in zip(a.layer_shifts, b.layer_shifts))
+        a = E.sample_stack(gres, arch, 1, R.derive(0, 1))
+        b = E.sample_stack(gres, arch, 1, R.derive(0, 2))
+        assert any(not np.array_equal(a.dense(l).copy(), b.dense(l))
+                   for l in range(arch.layers))
 
     def test_shared_mode_shape(self, rng):
         gres = small_gres()
         arch = Architecture((1, 3, 1), 2)
-        seq = E.sample_realization_seq(gres, arch, rng, mode=SHARED)
-        assert seq.layer_shifts[0].shape == (2, gres.n, gres.n)
+        seq = E.sample_stack(gres, arch, 1, rng, mode=SHARED)
+        assert seq.dense(0).shape == (1, 2, gres.n, gres.n)
         assert seq.total == arch.shift_count(SHARED)
+        for k in (1, 2):
+            np.testing.assert_array_equal(seq.shift(0, 2, 0, k), seq.shift(0, 0, 0, k))
 
 
 def linear_filter_params(h0, h1):
@@ -106,10 +108,9 @@ class TestEstimateMoments:
         assert rep.variance == 0.0
         assert np.all(rep.per_node_variance == 0.0)
         # first moment equals the deterministic forward on the nominal chain
-        from sgnn.model import RealizationStack, forward_stack
-        seq = E.sample_realization_seq(gres, params.arch, np.random.default_rng(0))
-        stack = RealizationStack([s[None] for s in seq.layer_shifts], PER_FILTER, gres.n, 1)
-        phi = forward_stack(params, stack, x[None, :, None]).output[0, 0, :, 0]
+        from sgnn.model import forward_stack
+        seq = E.sample_stack(gres, params.arch, 1, np.random.default_rng(0))
+        phi = forward_stack(params, seq, x[None, :, None]).output[0, 0, :, 0]
         assert rep.first_moment == pytest.approx(float(phi.mean()))
 
     def test_order_zero_network_has_no_randomness(self, rng):

@@ -125,6 +125,12 @@ class TestMovieLens:
         with pytest.raises(ConfigError):
             X.load_movielens(path, n_users=3, n_items=4, expect_count=None)
 
+    def test_repeated_pair_rejected_with_both_lines(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t2\t5\t100\n2\t1\t3\t200\n1\t2\t4\t300\n")
+        with pytest.raises(ConfigError, match=r":3: \(1,2\) already rated on line 1"):
+            X.load_movielens(path, n_users=3, n_items=4, expect_count=None)
+
     def test_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t4\t100\n")

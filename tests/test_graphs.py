@@ -308,6 +308,23 @@ class TestPearson:
         r = np.array([[2.0, 1.0], [2.0, 3.0], [2.0, 5.0]])
         assert G.pearson_correlations(r) == []
 
+    def test_top_k_matches_the_full_keyed_sort_across_ties(self):
+        # items rated by two or three of many users: thousands of exact +-1 ties
+        rng = np.random.default_rng(4)
+        r = np.zeros((40, 300))
+        for item in range(300):
+            users = rng.choice(40, size=rng.integers(2, 4), replace=False)
+            r[users, item] = rng.integers(1, 6, size=users.size)
+        full = G.pearson_correlations(r)
+        ranked = sorted(full, key=lambda t: (-t[2], t[0], t[1]))
+        assert full == ranked
+        values = [c for _, _, c in ranked]
+        assert values.count(1.0) > 50 and values.count(-1.0) > 50
+        for k in (0, 1, 55, values.count(1.0), values.count(1.0) + 7, len(ranked) - 1,
+                  len(ranked), len(ranked) + 5):
+            assert G.pearson_correlations(r, top=k) == ranked[:k]
+        assert G.pearson_graph(r, 55).edges == tuple(sorted(ranked[:55]))
+
 
 class TestNormalizeShift:
     def test_scales_spectrum_into_unit_interval(self):
