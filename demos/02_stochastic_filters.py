@@ -17,11 +17,14 @@ graph = G.sbm_generate(10, 2, 0.9, 0.3, rng)
 shift = G.normalize_shift(G.build_shift(graph, G.ADJACENCY))
 gres = G.GresModel(shift, drop_edges=shift.edges(), p=0.2)
 
-# one filter over a chain of sampled shifts
+# one filter over a chain of sampled shifts: a one-feature network, order 2
 taps = np.array([0.5, 0.8, -0.3])
-chain = [G.sample_gres(gres, rng).entries for _ in range(2)]
+chain = G.sample_gres_batch(gres, 2, rng)
 x = rng.normal(size=10)
-y = M.filter_apply(taps, chain, x)
+xb = x[None, :, None]                               # (features, nodes, batch)
+one = M.Architecture(features=(1, 1), order=2, activation="identity")
+single = M.Realizations.from_rows(one, M.PER_FILTER, 10, chain)
+y = M.forward_stack(M.SgnnParams(one, [taps[None, None]]), single, xb).output
 print(f"filter output energy: ||y|| = {np.linalg.norm(y):.4f} for ||x|| = {np.linalg.norm(x):.4f}")
 
 # the response surface only depends on the taps; chains pin its arguments
@@ -36,13 +39,13 @@ print(f"network consumes {arch.shift_count()} sampled shifts per pass "
       f"(headline count {arch.paper_shift_count()})")
 
 seq = sample_stack(gres, arch, 1, rng)
-out, tape = M.sgnn_forward(params, seq, x)
-print(f"output bound check: ||phi|| = {np.linalg.norm(out):.4f} <= "
+tape = M.forward_stack(params, seq, xb)
+print(f"output bound check: ||phi|| = {np.linalg.norm(tape.output):.4f} <= "
       f"{M.output_bound(arch, float(np.linalg.norm(x))):.4f} (worst case)")
 
 # exact reverse-mode gradients vs a finite-difference probe on one tap
-target = rng.normal(size=10)
-grads = M.sgnn_backward(tape, out - target)
+target = rng.normal(size=10)[None, None, :, None]
+grads = M.backward_stack(tape, d_output=tape.output - target)
 flat = params.flatten()
 probe = 7
 e = np.zeros_like(flat)
@@ -50,7 +53,7 @@ e[probe] = 1e-6
 
 
 def loss_of(p):
-    o, _ = M.sgnn_forward(p, seq, x)
+    o = M.forward_stack(p, seq, xb, keep_tape=False).output
     return 0.5 * float(np.sum((o - target) ** 2))
 
 

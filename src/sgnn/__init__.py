@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``graphs``        graphs, shift operators, GRES(p,q) sampling, spectra
+- ``graphs``        graphs, shift operators, GRES(p,q) sampling
 - ``model``         stochastic graph filters, SGNN forward/backward
 - ``estimators``    Monte-Carlo moment and cost estimation
 - ``training``      Lagrangian, primal-dual loop, baselines, losses

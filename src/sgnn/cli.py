@@ -28,13 +28,11 @@ from .experiments import (
     RECSYS,
     SOURCE_LOCALIZATION,
     ExperimentConfig,
-    LabeledDataset,
     RecsysConfig,
     SourceLocConfig,
     build_recsys_task,
     gen_source_localization,
     load_movielens,
-    metric_accuracy,
     read_results,
     run_cv_sweep,
     run_experiment,
@@ -44,8 +42,6 @@ from .experiments import (
 from .graphs import GresModel, build_shift, save_shift
 from .model import Architecture, init_params, load_params, save_params
 from .training import (
-    Batch,
-    DualVars,
     TrainConfig,
     TrainTrace,
     train,
@@ -198,7 +194,8 @@ def _prepare_out_dir(out_dir, overwrite: bool, expected_files) -> None:
 
 
 def _materialize_task(cfg: ExperimentConfig, p: float):
-    """(gres, dataset, n) for the configured task at drop probability p."""
+    """(gres, dataset, n, task) for the configured task at drop probability p;
+    task is the RecsysTask, or None for source localization."""
     if cfg.task == SOURCE_LOCALIZATION:
         scfg = replace(cfg.source, p=p)
         data_rng = rngmod.derive(cfg.master_seed, 1, 0)
@@ -267,7 +264,7 @@ def cmd_eval(args) -> int:
     rows = []
     for p in cfg.p_values:
         gres, dataset, n, task = _materialize_task(cfg, p)
-        eval_rng = rngmod.derive(cfg.master_seed, 4, int(p * 1000))
+        eval_rng = rngmod.derive(cfg.master_seed, 4, rngmod.stream_key(p))
         if cfg.task == SOURCE_LOCALIZATION:
             from .experiments import _evaluate_source_loc
 

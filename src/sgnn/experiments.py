@@ -25,7 +25,6 @@ from .graphs import (
     ADJACENCY,
     Graph,
     GresModel,
-    ShiftOperator,
     build_shift,
     community_labels,
     expected_shift,
@@ -39,9 +38,7 @@ from .training import (
     REGULARIZED,
     UNCONSTRAINED,
     Batch,
-    DualVars,
     TrainConfig,
-    TrainTrace,
     train,
 )
 from .util import parallel_map
@@ -123,7 +120,6 @@ class SourceLocConfig:
     t_max: int = 50
     noise_std: float = 0.01
     standardize: bool = False
-    signal_gain: float = 1.0
     split_sizes: tuple = (10000, 2500, 2500)
     desk_scale_factor: float = 1.0
 
@@ -142,14 +138,14 @@ def community_sources(graph: Graph, c: int) -> np.ndarray:
     return np.array(sources)
 
 
-def gen_source_localization(cfg: SourceLocConfig, rng: np.random.Generator):
-    """SBM graph, all-edges-droppable GRES model, and diffusion dataset.
+def _source_signals(cfg: SourceLocConfig, rng: np.random.Generator):
+    """SBM graph, all-edges-droppable GRES model, and diffusion signals.
 
     Each sample diffuses a Kronecker delta from one of the per-community
-    source nodes for a uniformly random number of steps and adds Gaussian
-    noise; the label is the source community.  Diffusion runs over the
-    expected shift normalized by its spectral radius so long diffusion times
-    stay bounded.
+    source nodes for a uniformly random number of steps; the input adds
+    Gaussian noise to it.  Diffusion runs over the expected shift normalized
+    by its spectral radius so long diffusion times stay bounded.  Returns
+    (graph, gres, source community, clean signal, input, splits).
     """
     graph = sbm_generate(cfg.n, cfg.communities, cfg.p_intra, cfg.p_inter, rng)
     if not graph.edges:
@@ -174,23 +170,26 @@ def gen_source_localization(cfg: SourceLocConfig, rng: np.random.Generator):
     total = sum(sizes)
     src = rng.integers(0, cfg.communities, size=total)
     ts = rng.integers(0, cfg.t_max + 1, size=total)
+    clean = table[src, ts]
     noise = cfg.noise_std * rng.normal(size=(total, cfg.n))
-    inputs = (table[src, ts] + noise)[:, None, :]
+    inputs = (clean + noise)[:, None, :]
     if cfg.standardize:
         # one constant gain from the training portion, shared by every split
         scale = float(np.std(inputs[:sizes[0]]))
         if scale > 0:
             inputs = inputs / scale
-    if cfg.signal_gain != 1.0:
-        inputs = inputs * cfg.signal_gain
-    labels = src.astype(int)
     splits = {
         "train": np.arange(sizes[0]),
         "val": np.arange(sizes[0], sizes[0] + sizes[1]),
         "test": np.arange(sizes[0] + sizes[1], total),
     }
-    dataset = LabeledDataset(inputs, labels, None, splits)
-    return graph, gres, dataset
+    return graph, gres, src, clean, inputs, splits
+
+
+def gen_source_localization(cfg: SourceLocConfig, rng: np.random.Generator):
+    """SBM graph, GRES model, and diffusion dataset labeled by source community."""
+    graph, gres, src, _, inputs, splits = _source_signals(cfg, rng)
+    return graph, gres, LabeledDataset(inputs, src.astype(int), None, splits)
 
 
 def gen_source_denoising(cfg: SourceLocConfig, rng: np.random.Generator,
@@ -203,41 +202,11 @@ def gen_source_denoising(cfg: SourceLocConfig, rng: np.random.Generator,
     is ``target_m2``).  Used by the variance-budget sweeps, where a free
     readout scale would otherwise absorb the moment constraints.
     """
-    graph = sbm_generate(cfg.n, cfg.communities, cfg.p_intra, cfg.p_inter, rng)
-    if not graph.edges:
-        raise GraphError("SBM draw produced an empty graph; cannot diffuse")
-    nominal = normalize_shift(build_shift(graph, ADJACENCY))
-    gres = GresModel(nominal, drop_edges=nominal.edges(), add_edges=(),
-                     p=cfg.p, q=cfg.q)
-    diffusion = normalize_shift(expected_shift(gres)).entries
-    sources = community_sources(graph, cfg.communities)
-    table = np.zeros((cfg.communities, cfg.t_max + 1, cfg.n))
-    for s_idx, s in enumerate(sources):
-        vec = np.zeros(cfg.n)
-        vec[s] = 1.0
-        table[s_idx, 0] = vec
-        for t in range(1, cfg.t_max + 1):
-            vec = diffusion @ vec
-            table[s_idx, t] = vec
-    sizes = cfg.scaled_sizes()
-    total = sum(sizes)
-    src = rng.integers(0, cfg.communities, size=total)
-    ts = rng.integers(0, cfg.t_max + 1, size=total)
-    clean = table[src, ts]
-    noise = cfg.noise_std * rng.normal(size=(total, cfg.n))
-    inputs = (clean + noise)[:, None, :]
-    scale = float(np.std(inputs[:sizes[0]]))
-    if cfg.standardize and scale > 0:
-        inputs = inputs / scale
-    t_scale = math.sqrt(target_m2 / max(np.mean(clean[:sizes[0]] ** 2), 1e-12))
+    graph, gres, _, clean, inputs, splits = _source_signals(cfg, rng)
+    n_train = splits["train"].size
+    t_scale = math.sqrt(target_m2 / max(np.mean(clean[:n_train] ** 2), 1e-12))
     targets = clean * t_scale
-    splits = {
-        "train": np.arange(sizes[0]),
-        "val": np.arange(sizes[0], sizes[0] + sizes[1]),
-        "test": np.arange(sizes[0] + sizes[1], total),
-    }
-    dataset = LabeledDataset(inputs, targets, np.ones_like(targets), splits)
-    return graph, gres, dataset
+    return graph, gres, LabeledDataset(inputs, targets, np.ones_like(targets), splits)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +334,9 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
     top_sub = tuple((remap[i], remap[j], w) for i, j, w in top)
     nxt_sub = tuple((remap[i], remap[j], w) for i, j, w in nxt)
     graph = Graph(m, top_sub)
-    nominal = normalize_shift(build_shift(graph, ADJACENCY))
-    scale = 1.0 / build_shift(graph, ADJACENCY).spectral_radius()
+    shift = build_shift(graph, ADJACENCY)
+    nominal = normalize_shift(shift)
+    scale = 1.0 / shift.spectral_radius()
     gres = GresModel(
         nominal,
         drop_edges=nominal.edges(),
@@ -522,9 +492,10 @@ def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str)
     graph, gres, dataset = gen_source_localization(scfg, data_rng)
     init_rng = rngmod.derive(cfg.master_seed, 2, graph_seed)
     params0 = init_params(cfg.arch, init_rng, n=scfg.n)
+    key = rngmod.stream_key(p)
     params, gamma, trace = _train_for_mode(
-        params0, gres, dataset, cfg, mode, (3, graph_seed, int(p * 1000)))
-    eval_rng = rngmod.derive(cfg.master_seed, 4, graph_seed, int(p * 1000))
+        params0, gres, dataset, cfg, mode, (3, graph_seed, key))
+    eval_rng = rngmod.derive(cfg.master_seed, 4, graph_seed, key)
     accs = _evaluate_source_loc(params, gres, dataset, cfg.eval_draws, eval_rng,
                                 cfg.train.realization_mode)
     window = trace.column("mean_cost")[-cfg.cost_window:]
@@ -544,9 +515,10 @@ def run_recsys_cell(cfg: ExperimentConfig, ratings: np.ndarray, p: float, mode: 
     task = build_recsys_task(ratings, rcfg)
     init_rng = rngmod.derive(cfg.master_seed, 2, 0)
     params0 = init_params(cfg.arch, init_rng, n=task.graph.n)
+    key = rngmod.stream_key(p)
     params, gamma, trace = _train_for_mode(
-        params0, task.gres, task.dataset, cfg, mode, (3, 0, int(p * 1000)))
-    eval_rng = rngmod.derive(cfg.master_seed, 4, 0, int(p * 1000))
+        params0, task.gres, task.dataset, cfg, mode, (3, 0, key))
+    eval_rng = rngmod.derive(cfg.master_seed, 4, 0, key)
     draws = cfg.eval_draws if p > 0 else 1
     rmses, ads = _evaluate_recsys(params, task, draws, eval_rng, cfg.train.realization_mode)
     rows = [
@@ -668,9 +640,10 @@ def run_cv_sweep(cfg: ExperimentConfig, c_v_values=(0.1, 0.3, 0.5, 0.7),
         for c_v in c_v_values:
             tc = replace(cfg.train, mode=PRIMAL_DUAL, c_f=0.0, c_s=float(c_v),
                          loss="masked_mse")
-            rng = rngmod.derive(cfg.master_seed, 5, seed, int(c_v * 1000))
+            key = rngmod.stream_key(c_v)
+            rng = rngmod.derive(cfg.master_seed, 5, seed, key)
             params, _, _ = train(params0, gres, dataset, tc, rng)
-            lip_rng = rngmod.derive(cfg.master_seed, 6, seed, int(c_v * 1000))
+            lip_rng = rngmod.derive(cfg.master_seed, 6, seed, key)
             c_l = model_lipschitz(params, 1.0, lipschitz_samples, lip_rng, reduce="mean")
             rows.append({"c_v": float(c_v), "graph_seed": seed, "c_l": float(c_l)})
     if out_dir is not None:

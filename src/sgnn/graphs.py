@@ -1,4 +1,4 @@
-"""Graphs, shift operators, spectral tooling, and the random edge-sampling model.
+"""Graphs, shift operators, and the random edge-sampling model.
 
 The central object is the GRES(p, q) model: a nominal graph together with a
 set of droppable edges (each independently absent with probability p) and a
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphError, NumericalError
+from .errors import GraphError
 
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
@@ -71,10 +71,6 @@ class Graph:
                 raise GraphError(f"edge ({i},{j}) outside node range n={self.n}")
             if not math.isfinite(w):
                 raise GraphError(f"non-finite weight on edge ({i},{j})")
-
-    @property
-    def edge_pairs(self):
-        return tuple((i, j) for i, j, _ in self.edges)
 
     def degree(self, weighted=True):
         d = np.zeros(self.n)
@@ -176,6 +172,16 @@ def _power_spectral_radius(m: np.ndarray, tol=1e-14, max_iters=5000) -> float:
         rho_sq = rho_new
         v = v_new
     return math.sqrt(max(rho_sq, 0.0))
+
+
+def normalize_shift(shift: ShiftOperator) -> ShiftOperator:
+    """Rescale by the spectral radius so all eigenvalues lie in [-1, 1]."""
+    rho = shift.spectral_radius()
+    if rho == 0.0:
+        raise GraphError("cannot normalize a zero shift operator")
+    out = ShiftOperator(shift.n, shift.entries / rho, shift.kind)
+    out._rho_cache[0] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +354,6 @@ def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator,
     return model.realize(sample_gres_masks(model, count, rng, antithetic))
 
 
-def sample_gres(model: GresModel, rng: np.random.Generator) -> ShiftOperator:
-    """One GRES(p, q) realization of the nominal shift, kind preserved.
-
-    The edge set is realized first and the matrix rebuilt from it, so
-    Laplacian realizations have exactly zero row sums.
-    """
-    m = sample_gres_batch(model, 1, rng)[0]
-    return ShiftOperator(model.n, m, model.nominal.kind)
-
-
 def expected_shift(model: GresModel) -> ShiftOperator:
     """Entrywise mean of the sampled shift.
 
@@ -433,105 +429,6 @@ def enumerate_gres(model: GresModel):
 
 
 # ---------------------------------------------------------------------------
-# Spectral tooling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def eigendecompose(shift: ShiftOperator, max_sweeps=100, tol=1e-12) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal pair until the off-diagonal
-    Frobenius mass falls below ``tol`` relative to the matrix norm; raises
-    NumericalError if the sweep cap is hit first.
-    """
-    a = np.array(shift.entries, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 0:
-        return SpectralDecomposition(np.zeros(0), v)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-
-    def off(m):
-        # sum the off-diagonal mass directly; norm^2 - diag^2 cancels badly
-        stripped = m.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped))
-
-    converged = off(a) <= tol * norm
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * norm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        converged = off(a) <= tol * norm
-    if not converged:
-        raise NumericalError(f"Jacobi eigendecomposition did not converge in {max_sweeps} sweeps")
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return SpectralDecomposition(lam[order], v[:, order])
-
-
-def gft(decomp: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform: project x on the eigenvector basis (V^T x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != decomp.n:
-        raise GraphError(f"signal length {x.shape[0]} does not match n={decomp.n}")
-    return decomp.eigenvectors.T @ x
-
-def igft(decomp: SpectralDecomposition, xhat: np.ndarray) -> np.ndarray:
-    """Inverse transform: synthesize from Fourier coefficients (V xhat)."""
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape[0] != decomp.n:
-        raise GraphError(f"coefficient length {xhat.shape[0]} does not match n={decomp.n}")
-    return decomp.eigenvectors @ xhat
-
-
-def normalize_shift(shift: ShiftOperator) -> ShiftOperator:
-    """Rescale by the spectral radius so all eigenvalues lie in [-1, 1]."""
-    rho = shift.spectral_radius()
-    if rho == 0.0:
-        raise GraphError("cannot normalize a zero shift operator")
-    out = ShiftOperator(shift.n, shift.entries / rho, shift.kind)
-    out._rho_cache[0] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Graph generators
 # ---------------------------------------------------------------------------
 
@@ -604,15 +501,6 @@ def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2,
     return [(int(i), int(j), float(v)) for i, j, v in zip(iu[nz], ju[nz], vals[nz])]
 
 
-def pearson_graph(ratings: np.ndarray, keep_top: int) -> Graph:
-    """Item-item similarity graph keeping the highest-correlation edges.
-
-    Edge weights are the signed Pearson correlations; the global top
-    ``keep_top`` pairs are retained.
-    """
-    return Graph(ratings.shape[1], tuple(pearson_correlations(ratings, top=keep_top)))
-
-
 # ---------------------------------------------------------------------------
 # Serialization: edge-list CSV with a JSON sidecar
 # ---------------------------------------------------------------------------
@@ -670,12 +558,3 @@ def load_shift(csv_path):
             q=g["q"],
         )
     return shift, model
-
-
-def save_graph(csv_path, graph: Graph, kind: str = ADJACENCY) -> None:
-    save_shift(csv_path, build_shift(graph, kind))
-
-
-def load_graph(csv_path) -> Graph:
-    shift, _ = load_shift(csv_path)
-    return Graph(shift.n, shift.edges())

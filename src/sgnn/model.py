@@ -5,7 +5,7 @@ A filter of order K applied over a chain of sampled shifts S_1..S_K is
     y = h_0 x + h_1 S_1 x + h_2 S_2 S_1 x + ... + h_K S_K ... S_1 x
 
 and a network layer passes a bank of such filters through a pointwise
-nonlinearity.  Forward passes record a tape; ``sgnn_backward`` replays it to
+nonlinearity.  Forward passes record a tape; ``backward_stack`` replays it to
 produce exact reverse-mode gradients for every tap and the optional linear
 readout.  All heavy code paths are vectorized over a leading realization
 axis so Monte-Carlo loops become batched matrix products.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, NumericalError
+from .errors import ConfigError, NumericalError
 
 PER_FILTER = "per_filter"
 SHARED = "shared"
@@ -159,9 +159,6 @@ class SgnnParams:
             pos += a.size
         return self.replace_arrays(arrays)
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
-
 
 def init_params(arch: Architecture, rng: np.random.Generator, n: int | None = None) -> SgnnParams:
     """Scaled-fan-in uniform initialization.
@@ -185,10 +182,6 @@ def init_params(arch: Architecture, rng: np.random.Generator, n: int | None = No
     w = rng.uniform(-bound, bound, size=(arch.readout, in_dim))
     b = np.zeros(arch.readout)
     return SgnnParams(arch, taps, w, b)
-
-
-def zeros_like_params(params: SgnnParams) -> SgnnParams:
-    return params.replace_arrays([np.zeros_like(a) for a in params.arrays()])
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +257,8 @@ class Realizations:
 
 
 # ---------------------------------------------------------------------------
-# Filtering
+# Forward and backward passes
 # ---------------------------------------------------------------------------
-
-
-def filter_apply(coeffs, shifts, x: np.ndarray) -> np.ndarray:
-    """Output of one stochastic graph filter by recursive accumulation.
-
-    ``coeffs`` holds the K+1 taps; ``shifts`` the K shift matrices applied in
-    hop order (the zeroth hop is the identity).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mats = [s.entries if hasattr(s, "entries") else np.asarray(s, dtype=float) for s in shifts]
-    if len(mats) != coeffs.shape[0] - 1:
-        raise GraphError(f"{coeffs.shape[0]} taps need {coeffs.shape[0] - 1} shifts, got {len(mats)}")
-    for m in mats:
-        if m.shape != (x.shape[0], x.shape[0]):
-            raise GraphError("shift dimension does not match signal length")
-    z = x
-    y = coeffs[0] * x
-    for k, m in enumerate(mats):
-        z = m @ z
-        y = y + coeffs[k + 1] * z
-    return y
 
 
 @dataclass
@@ -459,51 +430,6 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     if want_input_grad:
         return out, d_cur
     return out
-
-
-def _as_batched(x: np.ndarray, arch: Architecture):
-    """Promote (n,), (F0, n), or (F0, n, B) input to (F0, n, B)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :, None], "vector"
-    if x.ndim == 2:
-        return x[:, :, None], "features"
-    if x.ndim == 3:
-        return x, "batched"
-    raise ConfigError(f"cannot interpret input of shape {x.shape}")
-
-
-def sgnn_forward(params: SgnnParams, seq: Realizations, x: np.ndarray):
-    """Single-sequence forward pass; returns (output, tape).
-
-    The output is the readout logits when the architecture has a readout and
-    the final-layer features otherwise, squeezed to match how ``x`` was
-    given: a plain length-n vector in, a length-n vector out (when F_L = 1).
-    """
-    xb, shape_kind = _as_batched(x, params.arch)
-    tape = forward_stack(params, seq, xb)
-    if tape.logits is not None:
-        out = tape.logits[0]
-        out = out[:, 0] if shape_kind != "batched" else out
-    else:
-        out = tape.output[0]
-        if shape_kind == "vector" and out.shape[0] == 1:
-            out = out[0, :, 0]
-        elif shape_kind != "batched":
-            out = out[:, :, 0]
-    return out, tape
-
-
-def sgnn_backward(tape: ForwardTape, upstream: np.ndarray) -> SgnnParams:
-    """Gradients of a scalar loss given its gradient w.r.t. the forward output."""
-    params = tape.params
-    up = np.asarray(upstream, dtype=float)
-    if tape.logits is not None:
-        target_shape = tape.logits.shape
-        up = up.reshape(target_shape)
-        return backward_stack(tape, d_logits=up)
-    up = up.reshape(tape.output.shape)
-    return backward_stack(tape, d_output=up)
 
 
 # ---------------------------------------------------------------------------

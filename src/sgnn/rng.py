@@ -4,10 +4,14 @@ Every stochastic operation in the package takes an explicit
 ``numpy.random.Generator``.  Independent sub-streams are derived from a
 master seed with ``derive``, so parallel Monte-Carlo loops replay
 bit-identically regardless of scheduling: stream i is a pure function of
-(master_seed, i).
+(master_seed, i).  Real-valued settings such as p enter a key through
+``stream_key``.
 """
 
 from __future__ import annotations
+
+import math
+import struct
 
 import numpy as np
 
@@ -22,6 +26,13 @@ def derive(master_seed, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in keys)))
 
 
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``count`` independent child streams off an existing generator."""
-    return rng.spawn(count)
+def stream_key(value: float) -> int:
+    """Integer key of a real setting, distinct for distinct values.
+
+    A value k / 1000 on the grid of thousandths keys as k; any other value as
+    2^64 plus its float bit pattern, which no grid value reaches.
+    """
+    scaled = value * 1000
+    if math.isfinite(scaled) and scaled >= 0 and round(scaled) / 1000 == value:
+        return round(scaled)
+    return 2 ** 64 + int.from_bytes(struct.pack("<d", value), "little")

@@ -369,19 +369,6 @@ def variance_dual_step(gamma: DualVars, variance: float, cfg: TrainConfig) -> Du
     return DualVars(g, 0.0)
 
 
-def primal_step(params: SgnnParams, gamma: DualVars, gres: GresModel, dataset,
-                cfg: TrainConfig, rng: np.random.Generator, optimizer=None):
-    """The inner loop: gamma_steps descent updates with fresh batches/draws."""
-    optimizer = optimizer or make_optimizer(cfg)
-    value = grad_norm = float("nan")
-    for _ in range(cfg.gamma_steps):
-        batch = dataset.sample_batch(rng, cfg.batch_size, "train")
-        value, grads = lagrangian(params, gamma, gres, batch, cfg, rng)
-        grad_norm = float(np.linalg.norm(grads.flatten()))
-        params = optimizer.step(params, grads)
-    return params, value, grad_norm
-
-
 # ---------------------------------------------------------------------------
 # Training loops
 # ---------------------------------------------------------------------------

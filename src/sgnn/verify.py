@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .model import (
     PER_FILTER,
-    Architecture,
     Realizations,
     SgnnParams,
     forward_stack,
@@ -46,7 +45,6 @@ from .model import (
 
 GRADIENT_MC = "gradient_mc"
 PAIRWISE_FD = "pairwise_fd"
-COEFFICIENT_BOUND = "coefficient_bound"
 
 
 @dataclass
@@ -130,18 +128,16 @@ def estimate_lipschitz(coeffs, lambda_max: float, n_samples: int,
 
     GradientMC maximizes the analytic gradient norm over sampled points (plus
     the box corners); PairwiseFiniteDiff maximizes secant slopes between
-    sampled pairs; CoefficientBound returns the analytic majorant, which
-    dominates both estimates on the same domain.
+    sampled pairs.  Both record the analytic coefficient majorant, which
+    dominates either estimate on the same domain.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     k = coeffs.shape[0] - 1
-    major = coefficient_majorant(coeffs, lambda_max) if k else 0.0
     if k == 0:
         return LipschitzEstimate(0.0, lambda_max, 0, method, 0.0)
     if n_samples < 100:
         raise ConfigError("need at least 100 samples for a Lipschitz estimate")
-    if method == COEFFICIENT_BOUND:
-        return LipschitzEstimate(major, lambda_max, 0, method, major)
+    major = coefficient_majorant(coeffs, lambda_max)
     pts = _domain_samples(k, lambda_max, n_samples, rng)
     if method == GRADIENT_MC:
         grads = frequency_response_gradient(coeffs, pts)

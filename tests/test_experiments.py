@@ -91,6 +91,16 @@ class TestSourceLocalization:
             members = np.nonzero(labels == c)[0]
             assert deg[s] == deg[members].max()
 
+    def test_both_tasks_share_graph_and_signals(self):
+        cfg = X.SourceLocConfig(split_sizes=(40, 8, 8), standardize=True)
+        graph, gres, loc = X.gen_source_localization(cfg, R.derive(0, 8))
+        graph_d, gres_d, den = X.gen_source_denoising(cfg, R.derive(0, 8))
+        assert graph.edges == graph_d.edges
+        assert gres.drop_edges == gres_d.drop_edges and gres.add_edges == gres_d.add_edges
+        np.testing.assert_array_equal(loc.inputs, den.inputs)
+        for split in ("train", "val", "test"):
+            np.testing.assert_array_equal(loc.splits[split], den.splits[split])
+
     def test_denoising_targets_scaled_and_clean(self):
         cfg = X.SourceLocConfig(n=20, communities=4, p=0.2, noise_std=0.0,
                                 standardize=False, split_sizes=(50, 10, 10))
@@ -162,8 +172,8 @@ class TestRecsysTask:
 
     def test_p_zero_deterministic(self, small_ratings):
         task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.0))
-        a = G.sample_gres(task.gres, np.random.default_rng(0))
-        np.testing.assert_array_equal(a.entries, task.gres.nominal.entries)
+        a = G.sample_gres_batch(task.gres, 1, np.random.default_rng(0))[0]
+        np.testing.assert_array_equal(a, task.gres.nominal.entries)
 
     def test_holdout_semantics(self, small_ratings):
         task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.1))

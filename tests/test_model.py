@@ -31,14 +31,24 @@ def scalar_forward(params, seq, x):
     return np.stack(cur)
 
 
+def filter_output(h, shifts, x):
+    """One filter with taps ``h`` over ``shifts``: a (1, 1) identity-activation network."""
+    h = np.asarray(h, dtype=float)
+    arch = M.Architecture((1, 1), h.size - 1, activation="identity")
+    params = M.SgnnParams(arch, [h[None, None]])
+    n = len(shifts[0]) if len(shifts) else x.shape[0]
+    seq = M.Realizations.from_rows(arch, M.PER_FILTER, n, shifts)
+    return M.forward_stack(params, seq, x[None, :, None]).output[0, 0, :, 0]
+
+
 class TestFilterApply:
     def test_order_zero_scales_input(self, rng):
         x = rng.normal(size=5)
-        np.testing.assert_allclose(M.filter_apply([2.5], [], x), 2.5 * x)
+        np.testing.assert_allclose(filter_output([2.5], [], x), 2.5 * x)
 
     def test_identity_shift_passthrough(self, rng):
         x = rng.normal(size=4)
-        y = M.filter_apply([0.0, 1.0], [np.eye(4)], x)
+        y = filter_output([0.0, 1.0], [np.eye(4)], x)
         np.testing.assert_allclose(y, x)
 
     def test_matches_dense_polynomial(self, rng):
@@ -47,22 +57,22 @@ class TestFilterApply:
         h = rng.normal(size=3)
         x = rng.normal(size=n)
         dense = h[0] * np.eye(n) + h[1] * s1 + h[2] * (s2 @ s1)
-        np.testing.assert_allclose(M.filter_apply(h, [s1, s2], x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(filter_output(h, [s1, s2], x), dense @ x, atol=1e-12)
 
     def test_linear_in_input_and_coeffs(self, rng):
         n = 4
         shifts = [random_symmetric(n, rng) for _ in range(2)]
         h = rng.normal(size=3)
         x, y = rng.normal(size=n), rng.normal(size=n)
-        lhs = M.filter_apply(h, shifts, 2.0 * x + y)
-        rhs = 2.0 * M.filter_apply(h, shifts, x) + M.filter_apply(h, shifts, y)
+        lhs = filter_output(h, shifts, 2.0 * x + y)
+        rhs = 2.0 * filter_output(h, shifts, x) + filter_output(h, shifts, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-        lhs_c = M.filter_apply(3.0 * h, shifts, x)
-        np.testing.assert_allclose(lhs_c, 3.0 * M.filter_apply(h, shifts, x), atol=1e-12)
+        lhs_c = filter_output(3.0 * h, shifts, x)
+        np.testing.assert_allclose(lhs_c, 3.0 * filter_output(h, shifts, x), atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(Exception):
-            M.filter_apply([1.0, 1.0], [np.eye(3)], np.zeros(4))
+        with pytest.raises(ConfigError, match="input shape"):
+            filter_output([1.0, 1.0], [np.eye(3)], np.zeros(4))
 
 
 class TestForward:
@@ -71,16 +81,16 @@ class TestForward:
         params = M.SgnnParams(arch, [np.array([[[0.7]]])])
         seq = random_seq(arch, 6, rng)
         x = rng.normal(size=6)
-        out, _ = M.sgnn_forward(params, seq, x)
-        np.testing.assert_allclose(out, 0.7 * x)
+        out = M.forward_stack(params, seq, x[None, :, None]).output
+        np.testing.assert_allclose(out[0, 0, :, 0], 0.7 * x)
 
     @pytest.mark.parametrize("activation", M.ACTIVATIONS)
     def test_zero_input_zero_output(self, rng, activation):
         arch = M.Architecture((1, 3, 1), 2, activation=activation)
         params = M.init_params(arch, rng)
         seq = random_seq(arch, 5, rng)
-        out, _ = M.sgnn_forward(params, seq, np.zeros(5))
-        np.testing.assert_array_equal(out, np.zeros(5))
+        out = M.forward_stack(params, seq, np.zeros((1, 5, 1))).output
+        np.testing.assert_array_equal(out, np.zeros((1, 1, 5, 1)))
 
     @pytest.mark.parametrize("activation", M.ACTIVATIONS)
     def test_matches_scalar_loop(self, rng, activation):
@@ -88,8 +98,8 @@ class TestForward:
         params = M.init_params(arch, rng)
         seq = random_seq(arch, 6, rng)
         x = rng.normal(size=(2, 6))
-        out, _ = M.sgnn_forward(params, seq, x)
-        ref = scalar_forward(params, seq, x[:, :, None])[:, :, 0]
+        out = M.forward_stack(params, seq, x[:, :, None]).output[0]
+        ref = scalar_forward(params, seq, x[:, :, None])
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_shared_mode_matches_scalar_loop(self, rng):
@@ -97,26 +107,25 @@ class TestForward:
         params = M.init_params(arch, rng)
         seq = random_seq(arch, 5, rng, mode=M.SHARED)
         x = rng.normal(size=(1, 5))
-        out, _ = M.sgnn_forward(params, seq, x)
-        ref = scalar_forward(params, seq, x[:, :, None])[:, :, 0]
+        out = M.forward_stack(params, seq, x[:, :, None]).output[0]
+        ref = scalar_forward(params, seq, x[:, :, None])
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_deterministic_given_same_sequence(self, rng):
         arch = M.Architecture((1, 2, 1), 2)
         params = M.init_params(arch, rng)
         seq = random_seq(arch, 5, rng)
-        x = rng.normal(size=5)
-        a, _ = M.sgnn_forward(params, seq, x)
-        b, _ = M.sgnn_forward(params, seq, x)
+        x = rng.normal(size=(1, 5, 1))
+        a = M.forward_stack(params, seq, x).output
+        b = M.forward_stack(params, seq, x).output
         np.testing.assert_array_equal(a, b)
 
     def test_tape_replays_bit_identically(self, rng):
         arch = M.Architecture((1, 2, 1), 2, activation="leaky_relu")
         params = M.init_params(arch, rng)
         seq = random_seq(arch, 5, rng)
-        x = rng.normal(size=5)
-        tapes = [M.sgnn_forward(params, seq, x)[1] for _ in range(2)]
-        t_a, t_b = tapes
+        x = rng.normal(size=(1, 5, 1))
+        t_a, t_b = [M.forward_stack(params, seq, x) for _ in range(2)]
         for l in range(arch.layers):
             np.testing.assert_array_equal(t_a.preacts[l], t_b.preacts[l])
             np.testing.assert_array_equal(t_a.layer_inputs[l], t_b.layer_inputs[l])
@@ -129,19 +138,19 @@ class TestForward:
             arch = M.Architecture((1, 2, 1), 2, activation=activation)
             params = M.init_params(arch, rng)
             seq = random_seq(arch, 5, rng)
-            x = rng.normal(size=5)
-            full, _ = M.sgnn_forward(params, seq, x)
-            half, _ = M.sgnn_forward(params, seq, x / 2.0)
+            x = rng.normal(size=(1, 5, 1))
+            full = M.forward_stack(params, seq, x).output
+            half = M.forward_stack(params, seq, x / 2.0).output
             np.testing.assert_allclose(half, full / 2.0, atol=1e-12)
 
     def test_readout_shapes_and_flatten(self, rng):
         arch = M.Architecture((1, 2, 1), 1, readout=4)
         params = M.init_params(arch, rng, n=5)
         seq = random_seq(arch, 5, rng)
-        logits, tape = M.sgnn_forward(params, seq, rng.normal(size=5))
-        assert logits.shape == (4,)
+        tape = M.forward_stack(params, seq, rng.normal(size=(1, 5, 1)))
+        assert tape.logits.shape == (1, 4, 1)
         manual = params.readout_w @ tape.output[0].reshape(-1) + params.readout_b
-        np.testing.assert_allclose(logits, manual, atol=1e-12)
+        np.testing.assert_allclose(tape.logits[0, :, 0], manual, atol=1e-12)
 
     def test_nonfinite_reports_layer(self, rng):
         arch = M.Architecture((1, 1, 1), 1, activation="identity")
@@ -149,7 +158,7 @@ class TestForward:
         params = M.SgnnParams(arch, taps)
         seq = random_seq(arch, 4, rng, scale=1e10)
         with pytest.raises(NumericalError, match="layer"):
-            M.sgnn_forward(params, seq, np.full(4, 1e30))
+            M.forward_stack(params, seq, np.full((1, 4, 1), 1e30))
 
 
 class TestBackward:
@@ -159,15 +168,16 @@ class TestBackward:
         params = M.SgnnParams(arch, [np.array([[[0.8]]])])
         seq = random_seq(arch, 6, rng)
         x, t = rng.normal(size=6), rng.normal(size=6)
-        y, tape = M.sgnn_forward(params, seq, x)
-        grads = M.sgnn_backward(tape, y - t)
+        tape = M.forward_stack(params, seq, x[None, :, None])
+        y = tape.output[0, 0, :, 0]
+        grads = M.backward_stack(tape, d_output=(y - t)[None, None, :, None])
         assert grads.taps[0][0, 0, 0] == pytest.approx(float(x @ (y - t)))
 
     def test_zero_upstream_zero_gradients(self, rng):
         arch = M.Architecture((1, 2, 1), 2, readout=3)
         params = M.init_params(arch, rng, n=5)
-        _, tape = M.sgnn_forward(params, seq := random_seq(arch, 5, rng), rng.normal(size=5))
-        grads = M.sgnn_backward(tape, np.zeros(3))
+        tape = M.forward_stack(params, random_seq(arch, 5, rng), rng.normal(size=(1, 5, 1)))
+        grads = M.backward_stack(tape, d_logits=np.zeros((1, 3, 1)))
         assert all(np.all(a == 0) for a in grads.arrays())
 
     @pytest.mark.parametrize("activation", M.ACTIVATIONS)
@@ -176,15 +186,15 @@ class TestBackward:
         n = 8
         params = M.init_params(arch, rng, n=n)
         seq = random_seq(arch, n, rng)
-        x = rng.normal(size=n)
-        t = rng.normal(size=2)
+        x = rng.normal(size=(1, n, 1))
+        t = rng.normal(size=(1, 2, 1))
 
         def loss_of(p):
-            out, _ = M.sgnn_forward(p, seq, x)
+            out = M.forward_stack(p, seq, x).logits
             return 0.5 * float(np.sum((out - t) ** 2))
 
-        out, tape = M.sgnn_forward(params, seq, x)
-        grads = M.sgnn_backward(tape, out - t).flatten()
+        tape = M.forward_stack(params, seq, x)
+        grads = M.backward_stack(tape, d_logits=tape.logits - t).flatten()
         flat = params.flatten()
         num = np.zeros_like(flat)
         h = 1e-5
@@ -200,15 +210,15 @@ class TestBackward:
         n = 6
         params = M.init_params(arch, rng)
         seq = random_seq(arch, n, rng, mode=M.SHARED)
-        x = rng.normal(size=n)
-        t = rng.normal(size=n)
+        x = rng.normal(size=(1, n, 1))
+        t = rng.normal(size=(1, 1, n, 1))
 
         def loss_of(p):
-            out, _ = M.sgnn_forward(p, seq, x)
+            out = M.forward_stack(p, seq, x).output
             return 0.5 * float(np.sum((out - t) ** 2))
 
-        out, tape = M.sgnn_forward(params, seq, x)
-        grads = M.sgnn_backward(tape, out - t).flatten()
+        tape = M.forward_stack(params, seq, x)
+        grads = M.backward_stack(tape, d_output=tape.output - t).flatten()
         flat = params.flatten()
         num = np.zeros_like(flat)
         for i in range(flat.size):
@@ -221,10 +231,10 @@ class TestBackward:
     def test_stale_tape_detected(self, rng):
         arch = M.Architecture((1, 1, 1), 1)
         params = M.init_params(arch, rng)
-        out, tape = M.sgnn_forward(params, random_seq(arch, 4, rng), rng.normal(size=4))
+        tape = M.forward_stack(params, random_seq(arch, 4, rng), rng.normal(size=(1, 4, 1)))
         tape.params = params.replace_arrays([a.copy() for a in params.arrays()])
         with pytest.raises(NumericalError, match="stale"):
-            M.sgnn_backward(tape, np.ones_like(out))
+            M.backward_stack(tape, d_output=np.ones_like(tape.output))
 
 
 class TestFrequencyResponse:

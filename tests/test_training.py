@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,13 @@ class TestLagrangian:
         assert np.max(np.abs(num - gflat) / denom) < 1e-5
 
 
+def primal_steps(params, gamma, gres, ds, cfg, seed):
+    """The ``gamma_steps`` primal updates of one training iteration at duals ``gamma``."""
+    out, _, _ = T.train(params, gres, ds, replace(cfg, max_iters=1, eta_dual=0.0),
+                        R.root_rng(seed), init_gamma=gamma)
+    return out
+
+
 class TestPrimalStep:
     def test_zero_learning_rate_keeps_params(self, rng):
         gres = small_gres(p=0.2)
@@ -226,7 +234,7 @@ class TestPrimalStep:
         ds = toy_regression(gres.n)
         cfg = T.TrainConfig(eta_primal=0.0, optimizer=T.SGD, gamma_steps=3,
                             n_realizations=2, loss="masked_mse", batch_size=8)
-        out, _, _ = T.primal_step(params, T.DualVars(), gres, ds, cfg, R.root_rng(0))
+        out = primal_steps(params, T.DualVars(), gres, ds, cfg, 0)
         for a, b in zip(params.arrays(), out.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -238,7 +246,7 @@ class TestPrimalStep:
                             n_realizations=2, loss="masked_mse", batch_size=8)
         _, grads = T.lagrangian(params, T.DualVars(), gres, ds.batch, cfg, R.root_rng(4))
         manual = [p - 0.05 * g for p, g in zip(params.arrays(), grads.arrays())]
-        out, _, _ = T.primal_step(params, T.DualVars(), gres, ds, cfg, R.root_rng(4))
+        out = primal_steps(params, T.DualVars(), gres, ds, cfg, 4)
         for a, b in zip(manual, out.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -258,7 +266,7 @@ class TestPrimalStep:
         c = float(np.mean(x))
         best = (2 * b_ + gamma.gamma1 * c) / (2 * a * (1 + gamma.gamma2))
         params = scalar_params(0.0)
-        out, _, _ = T.primal_step(params, gamma, gres, ds, cfg, R.root_rng(0))
+        out = primal_steps(params, gamma, gres, ds, cfg, 0)
         assert out.taps[0][0, 0, 0] == pytest.approx(best, abs=1e-6)
 
     def test_descends_lagrangian_on_convex_toy(self):
@@ -273,7 +281,7 @@ class TestPrimalStep:
             value, _ = T.lagrangian(params, gamma, gres, ds.batch, cfg, R.root_rng(step))
             assert value < last
             last = value
-            params, _, _ = T.primal_step(params, gamma, gres, ds, cfg, R.root_rng(step))
+            params = primal_steps(params, gamma, gres, ds, cfg, step)
 
 
 class TestTrainingLoops:

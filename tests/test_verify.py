@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,8 +238,8 @@ class TestConvergenceDiagnostics:
                             n_realizations=1, loss="masked_mse", batch_size=8)
         params = SgnnParams(Architecture((1, 1), 0, activation="identity"),
                             [np.array([[[0.0]]])])
-        trained, _, _ = T.primal_step(params, T.DualVars(), gres, DS(), cfg,
-                                      np.random.default_rng(1))
+        trained, _, _ = T.train(params, gres, DS(), replace(cfg, max_iters=1, eta_dual=0.0),
+                                np.random.default_rng(1), init_gamma=T.DualVars())
         xi = V.primal_suboptimality_probe(trained, T.DualVars(), gres, DS(), cfg,
                                           np.random.default_rng(2), steps=10)
         assert xi <= 1e-4
