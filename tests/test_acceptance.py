@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, one printed line each.
 
 The trend criteria (8, 9, 10) train full desk-scale models and dominate the
-runtime (tens of minutes); session fixtures share the expensive sweeps.
+runtime (tens of minutes); session fixtures share the expensive sweeps and
+run their independent trainings on SGNN_THREADS threads (2 unless set).
 Every tolerance is pinned here, not configured elsewhere.
 """
 
@@ -27,6 +28,7 @@ from sgnn.model import (
     init_params,
     output_bound,
 )
+from sgnn.util import parallel_map
 
 SEED = 2026
 
@@ -82,13 +84,15 @@ def recsys_artifacts(tmp_path_factory):
     tc = T.TrainConfig(max_iters=600, n_realizations=10, batch_size=32,
                        eta_primal=1e-2, eta_dual=0.02, loss="masked_mse",
                        grad_norm_tol=0.0, c_f=0.0, c_s=0.5, mode=T.UNCONSTRAINED)
-    trained = {}
-    for p in (0.0, 0.1):
+
+    def one(p):
         task = X.build_recsys_task(ratings, X.RecsysConfig(p=p, max_samples=4000))
         params0 = init_params(arch, R.derive(SEED, 20), n=task.graph.n)
         params, _, trace = T.train(params0, task.gres, task.dataset, tc, R.derive(SEED, 21))
-        trained[p] = (task, params, trace)
-    return path, ratings, trained
+        return p, (task, params, trace)
+
+    os.environ.setdefault("SGNN_THREADS", "2")
+    return path, ratings, dict(parallel_map(one, (0.0, 0.1)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +413,17 @@ def cv_sweep():
     graph, gres, ds = X.gen_source_denoising(scfg, R.derive(SEED, 50))
     arch = replace(DESK_ARCH, readout=None)
     params0 = init_params(arch, R.derive(SEED, 51), n=50)
-    out = {}
-    for cv in (0.1, 0.3, 0.5, 0.7):
+
+    def one(cv):
         tc = replace(DESK_TRAIN, c_f=0.0, c_s=cv, loss="masked_mse", max_iters=1200)
         params, gamma, trace = T.train_primal_dual(params0, T.DualVars(), gres, ds,
                                                    tc, R.derive(SEED, 52))
         c_l = V.model_lipschitz(params, 1.0, 2000, R.derive(SEED, 53),
                                 reduce="mean")
-        out[cv] = (c_l, trace)
-    return out
+        return cv, (c_l, trace)
+
+    os.environ.setdefault("SGNN_THREADS", "2")
+    return dict(parallel_map(one, (0.1, 0.3, 0.5, 0.7)))
 
 
 def test_criterion_10_lipschitz_grows_with_variance_budget(cv_sweep):

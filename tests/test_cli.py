@@ -44,6 +44,12 @@ class TestTrainCommand:
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
 
+    def test_signal_gain_is_not_an_option(self, tmp_path):
+        cfg = write_config(tmp_path / "bad.json",
+                           {"schema": 1, "source": {"signal_gain": 2.0}})
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+
     def test_wrong_schema_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {"schema": 99})
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -193,6 +193,19 @@ class TestRecsysTask:
         for u in np.unique(task.sample_users):
             assert counts[u] >= 2
 
+    def test_nominal_and_added_edges_share_one_scale(self, small_ratings):
+        cfg = X.RecsysConfig(keep_top=15, add_next=8, p=0.1)
+        task = X.build_recsys_task(small_ratings, cfg)
+        shift = G.build_shift(task.graph, G.ADJACENCY)
+        rho = G.ShiftOperator(shift.n, shift.entries.copy(), shift.kind).spectral_radius()
+        np.testing.assert_allclose(task.gres.nominal.entries, shift.entries / rho, rtol=1e-12)
+        remap = {int(orig): k for k, orig in enumerate(task.covered_items)}
+        runners_up = G.pearson_correlations(small_ratings, top=23)[15:]
+        expected = sorted((remap[i], remap[j], w / rho) for i, j, w in runners_up)
+        for (i, j, w), (ei, ej, ew) in zip(sorted(task.gres.add_edges), expected):
+            assert (i, j) == (ei, ej)
+            assert w == pytest.approx(ew, rel=1e-12)
+
     def test_requires_enough_correlated_pairs(self):
         ratings = np.zeros((5, 4))
         with pytest.raises(ConfigError):

@@ -16,3 +16,10 @@ class TestStreamKey:
         rb = R.derive(0, 3, 0, b).random(4)
         assert not np.array_equal(ra, rb)
         assert not np.array_equal(ra, R.derive(0, 3, 0, 57).random(4))
+
+    def test_values_off_the_grid_get_distinct_keys_above_it(self):
+        values = (-0.05, 0.0005, 1e300, float("inf"), float("-inf"), float("nan"))
+        keys = [R.stream_key(v) for v in values]
+        assert len(set(keys)) == len(keys)
+        assert min(keys) >= 2 ** 64
+        R.derive(0, 5, 0, max(keys)).random()     # every key seeds a stream

@@ -52,6 +52,14 @@ class TestEstimateLipschitz:
         with pytest.raises(ConfigError):
             V.estimate_lipschitz(np.array([0.0, 1.0]), 1.0, 10, rng)
 
+    def test_every_method_records_the_majorant_and_others_are_rejected(self, rng):
+        coeffs = np.array([0.3, -1.2, 0.5])
+        major = V.coefficient_majorant(coeffs, 1.0)
+        for method in (V.GRADIENT_MC, V.PAIRWISE_FD):
+            assert V.estimate_lipschitz(coeffs, 1.0, 200, rng, method).coefficient_bound == major
+        with pytest.raises(ConfigError):
+            V.estimate_lipschitz(coeffs, 1.0, 200, rng, "coefficient_bound")
+
 
 class TestVarianceBound:
     def test_zero_probability_zero_bound(self):
