@@ -5,7 +5,7 @@ Subpackage map:
 - ``graphs``        graphs, shift operators, GRES(p,q) sampling
 - ``model``         stochastic graph filters, SGNN forward/backward
 - ``estimators``    Monte-Carlo moment and cost estimation
-- ``training``      Lagrangian, primal-dual loop, baselines, losses
+- ``training``      losses, Lagrangian, one training loop for every mode
 - ``verify``        executable checks of the closed-form bounds
 - ``experiments``   source localization and recommender-system pipelines
 - ``cli``           command-line entry point (``sgnn ...``)

@@ -14,6 +14,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -41,11 +42,7 @@ from .experiments import (
 )
 from .graphs import GresModel, build_shift, save_shift
 from .model import Architecture, init_params, load_params, save_params
-from .training import (
-    TrainConfig,
-    TrainTrace,
-    train,
-)
+from .training import TrainConfig, TrainTrace, _csv_cells, train
 from .verify import (
     BoundReport,
     check_chebyshev,
@@ -223,17 +220,12 @@ def cmd_train(args) -> int:
     params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, 0), n=n)
     ckpt_every = cfg.train.checkpoint_every
     trace_path = os.path.join(args.out, "trace.csv")
-    from .training import TRACE_COLUMNS
-
-    with open(trace_path, "w", newline="") as f:
-        f.write(",".join(TRACE_COLUMNS) + "\n")
+    TrainTrace().to_csv(trace_path)
 
     def checkpointer(t, params, gamma, trace):
         # stream the fresh row so a long run can be watched (and survives aborts)
-        row = trace.rows[-1]
         with open(trace_path, "a", newline="") as f:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in TRACE_COLUMNS) + "\n")
+            csv.writer(f).writerow(_csv_cells(trace.rows[-1]))
         if ckpt_every and (t + 1) % ckpt_every == 0:
             save_params(os.path.join(args.out, f"checkpoint_{t + 1}.json"),
                         params, iteration=t + 1)
@@ -358,7 +350,7 @@ def cmd_verify(args) -> int:
                                            "xi_proxy": diag.xi_estimate}))
     if bound_scale != 1.0:
         reports = [BoundReport(r.check_name, r.empirical, r.bound * bound_scale,
-                               r.mc_stderr, r.inputs) for r in reports]
+                               r.stderr, r.inputs) for r in reports]
     write_reports(reports, os.path.join(args.out, "verify.csv"),
                   os.path.join(args.out, "reports"))
     violated = [r for r in reports if r.violated]
@@ -401,8 +393,6 @@ FIGURE_FILES = {
 
 
 def cmd_report(args) -> int:
-    import csv as _csv
-
     _prepare_out_dir(args.out, args.overwrite, list(FIGURE_FILES))
     rows = read_results(args.results) if args.results and os.path.exists(args.results) else []
     results_dir = os.path.dirname(args.results) if args.results else "."
@@ -428,14 +418,14 @@ def cmd_report(args) -> int:
     if lip_path and os.path.exists(lip_path):
         acc = {}
         with open(lip_path, newline="") as f:
-            for row in _csv.DictReader(f):
+            for row in csv.DictReader(f):
                 acc.setdefault(float(row["c_v"]), []).append(float(row["c_l"]))
         for c_v in sorted(acc):
             vals = np.array(acc[c_v])
             data["fig2d.csv"].append([c_v, float(vals.mean()), float(vals.std(ddof=0))])
     for name, header in FIGURE_FILES.items():
         with open(os.path.join(args.out, name), "w", newline="") as f:
-            writer = _csv.writer(f)
+            writer = csv.writer(f)
             writer.writerow(header)
             for row in data[name]:
                 writer.writerow(row)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ class McConfig:
 
     n_realizations: int = 10
     master_seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_realizations < 1:
@@ -80,8 +78,7 @@ class MomentReport:
 
 
 def sample_stack(gres: GresModel, arch: Architecture, count: int,
-                 rng: np.random.Generator, mode: str = PER_FILTER,
-                 antithetic: bool = False) -> Realizations:
+                 rng: np.random.Generator, mode: str = PER_FILTER) -> Realizations:
     """``count`` independent realization sequences, as GRES edge masks.
 
     In per-filter mode every (filter, tap) position gets an independent
@@ -90,7 +87,7 @@ def sample_stack(gres: GresModel, arch: Architecture, count: int,
     """
     layers = []
     for shape in layer_positions(arch, mode):
-        bits = sample_gres_masks(gres, count * int(np.prod(shape)), rng, antithetic)
+        bits = sample_gres_masks(gres, count * int(np.prod(shape)), rng)
         layers.append(bits.reshape((count,) + shape + bits.shape[1:]))
     return Realizations(layers, mode, gres.n, gres)
 
@@ -133,7 +130,7 @@ def estimate_cost(params: SgnnParams, gres: GresModel, batch, cfg: McConfig,
                   loss, mode: str = PER_FILTER) -> float:
     """Empirical expected cost: mean over realizations of the mean batch loss."""
     rng = cfg.rng()
-    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode, cfg.antithetic)
+    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode)
     tape = forward_stack(params, stack, batch.x, keep_tape=False)
     pred = tape.logits if tape.logits is not None else _phi(tape)
     return float(loss.value(pred, batch))
@@ -145,7 +142,7 @@ def estimate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
     if cfg.n_realizations < 2:
         raise ConfigError("plug-in variance needs at least two realizations")
     rng = cfg.rng()
-    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode, cfg.antithetic)
+    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode)
     tape = forward_stack(params, stack, _single_input(x), keep_tape=False)
     phi = _phi(tape)[:, :, 0]                    # (N, n)
     m1 = phi.mean(axis=0)
@@ -179,14 +176,6 @@ def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
     phi = _phi(forward_stack(params, stack, xb, keep_tape=False))[:, :, 0]
     sq = np.mean((phi - ref) ** 2, axis=1)
     return float(np.mean(sq <= eps))
-
-
-def mc_stderr(samples: np.ndarray) -> float:
-    """Standard error of a Monte-Carlo mean."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        return float("nan")
-    return float(np.std(samples, ddof=1) / math.sqrt(samples.size))
 
 
 # ---------------------------------------------------------------------------

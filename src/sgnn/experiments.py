@@ -33,14 +33,7 @@ from .graphs import (
     sbm_generate,
 )
 from .model import Architecture, forward_stack, init_params
-from .training import (
-    PRIMAL_DUAL,
-    REGULARIZED,
-    UNCONSTRAINED,
-    Batch,
-    TrainConfig,
-    train,
-)
+from .training import MODES, PRIMAL_DUAL, UNCONSTRAINED, Batch, TrainConfig, train
 from .util import parallel_map
 from .verify import model_lipschitz
 
@@ -441,7 +434,7 @@ class ExperimentConfig:
         if self.task not in (SOURCE_LOCALIZATION, RECSYS):
             raise ConfigError(f"unknown task {self.task!r}")
         for mode in self.modes:
-            if mode not in (PRIMAL_DUAL, UNCONSTRAINED, REGULARIZED):
+            if mode not in MODES:
                 raise ConfigError(f"unknown training mode {mode!r}")
 
 
@@ -478,13 +471,6 @@ def _evaluate_recsys(params, task, draws, rng, mode_realizations):
     return rmses, ads
 
 
-def _train_for_mode(params0, gres, dataset, cfg: ExperimentConfig, mode, seed_key):
-    tc = replace(cfg.train, mode=mode)
-    rng = rngmod.derive(cfg.master_seed, *seed_key)
-    params, gamma, trace = train(params0, gres, dataset, tc, rng)
-    return params, gamma, trace
-
-
 def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str):
     """Train one (graph seed, p, mode) cell and evaluate it; returns rows."""
     scfg = replace(cfg.source, p=p)
@@ -493,8 +479,8 @@ def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str)
     init_rng = rngmod.derive(cfg.master_seed, 2, graph_seed)
     params0 = init_params(cfg.arch, init_rng, n=scfg.n)
     key = rngmod.stream_key(p)
-    params, gamma, trace = _train_for_mode(
-        params0, gres, dataset, cfg, mode, (3, graph_seed, key))
+    params, gamma, trace = train(params0, gres, dataset, replace(cfg.train, mode=mode),
+                                 rngmod.derive(cfg.master_seed, 3, graph_seed, key))
     eval_rng = rngmod.derive(cfg.master_seed, 4, graph_seed, key)
     accs = _evaluate_source_loc(params, gres, dataset, cfg.eval_draws, eval_rng,
                                 cfg.train.realization_mode)
@@ -516,8 +502,9 @@ def run_recsys_cell(cfg: ExperimentConfig, ratings: np.ndarray, p: float, mode: 
     init_rng = rngmod.derive(cfg.master_seed, 2, 0)
     params0 = init_params(cfg.arch, init_rng, n=task.graph.n)
     key = rngmod.stream_key(p)
-    params, gamma, trace = _train_for_mode(
-        params0, task.gres, task.dataset, cfg, mode, (3, 0, key))
+    params, gamma, trace = train(params0, task.gres, task.dataset,
+                                 replace(cfg.train, mode=mode),
+                                 rngmod.derive(cfg.master_seed, 3, 0, key))
     eval_rng = rngmod.derive(cfg.master_seed, 4, 0, key)
     draws = cfg.eval_draws if p > 0 else 1
     rmses, ads = _evaluate_recsys(params, task, draws, eval_rng, cfg.train.realization_mode)
@@ -537,29 +524,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     as ``trace_<task>_<mode>_p<p>_s<seed>.csv``; ``summary.json`` aggregates
     per (mode, p) across seeds.
     """
-    rows = []
-    traces = {}
     if cfg.task == SOURCE_LOCALIZATION:
-        cells = [(seed, p, mode) for seed in cfg.graph_seeds
-                 for p in cfg.p_values for mode in cfg.modes]
+        seeds = cfg.graph_seeds
 
-        def work(cell):
-            seed, p, mode = cell
-            return cell, run_source_cell(cfg, seed, p, mode)
-
-        for cell, (cell_rows, trace, _, _) in parallel_map(work, cells):
-            seed, p, mode = cell
-            rows.extend(cell_rows)
-            traces[f"trace_{cfg.task}_{mode}_p{p}_s{seed}.csv"] = trace
+        def run_cell(seed, p, mode):
+            return run_source_cell(cfg, seed, p, mode)
     else:
         if cfg.ratings_path is None:
             raise ConfigError("recsys experiment needs ratings_path")
         ratings = load_movielens(cfg.ratings_path)
-        for p in cfg.p_values:
-            for mode in cfg.modes:
-                cell_rows, trace, _, _ = run_recsys_cell(cfg, ratings, p, mode)
-                rows.extend(cell_rows)
-                traces[f"trace_{cfg.task}_{mode}_p{p}_s0.csv"] = trace
+        seeds = (0,)
+
+        def run_cell(seed, p, mode):
+            return run_recsys_cell(cfg, ratings, p, mode)
+
+    cells = [(seed, p, mode) for seed in seeds for p in cfg.p_values for mode in cfg.modes]
+    rows = []
+    traces = {}
+    for (seed, p, mode), (cell_rows, trace, _, _) in zip(
+            cells, parallel_map(lambda cell: run_cell(*cell), cells)):
+        rows.extend(cell_rows)
+        traces[f"trace_{cfg.task}_{mode}_p{p}_s{seed}.csv"] = trace
     rows.sort(key=lambda r: (r["task"], r["mode"], r["p"], r["graph_seed"], r["metric"]))
     summary = summarize_rows(rows)
     if out_dir is not None:

@@ -322,17 +322,7 @@ def _kept_edges(model: GresModel):
     return tuple(e for e in model.nominal.edges() if e not in drops)
 
 
-def _uniforms(rng, count, width, antithetic):
-    """(count, width) uniforms; antithetic pairs rows as (u, 1-u)."""
-    if not antithetic:
-        return rng.random((count, width))
-    half = (count + 1) // 2
-    u = rng.random((half, width))
-    return np.concatenate([u, 1.0 - u], axis=0)[:count]
-
-
-def sample_gres_masks(model: GresModel, count: int, rng: np.random.Generator,
-                      antithetic: bool = False) -> np.ndarray:
+def sample_gres_masks(model: GresModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Presence bits (count, M_d + M_a) of ``count`` GRES realizations.
 
     Draw order is fixed (all drop uniforms first, then all add uniforms) so a
@@ -342,16 +332,15 @@ def sample_gres_masks(model: GresModel, count: int, rng: np.random.Generator,
     """
     bits = np.empty((count, model.m_drop + model.m_add), dtype=bool)
     if model.m_drop:
-        bits[:, :model.m_drop] = _uniforms(rng, count, model.m_drop, antithetic) >= model.p
+        bits[:, :model.m_drop] = rng.random((count, model.m_drop)) >= model.p
     if model.m_add:
-        bits[:, model.m_drop:] = _uniforms(rng, count, model.m_add, antithetic) < model.q
+        bits[:, model.m_drop:] = rng.random((count, model.m_add)) < model.q
     return bits
 
 
-def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator,
-                      antithetic: bool = False) -> np.ndarray:
+def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent GRES realizations, stacked as (count, n, n)."""
-    return model.realize(sample_gres_masks(model, count, rng, antithetic))
+    return model.realize(sample_gres_masks(model, count, rng))
 
 
 def expected_shift(model: GresModel) -> ShiftOperator:

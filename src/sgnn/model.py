@@ -301,7 +301,7 @@ def _reused(pool, key, compute):
 
 
 def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
-                  check_finite: bool = True, keep_tape: bool = True) -> ForwardTape:
+                  keep_tape: bool = True) -> ForwardTape:
     """Run the network over N stacked realizations at once.
 
     ``x`` has shape (F_0, n, B); the same batch rides along every
@@ -335,7 +335,7 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
             zs.append(z)
             u += _reused(pool, ("term",) + key,
                          lambda out: np.einsum(spec, taps[:, :, k + 1], z, out=out))
-        if check_finite and not np.all(np.isfinite(u)):
+        if not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite pre-activation at layer {l}")
         if keep_tape:
             layer_inputs.append(cur)
@@ -347,7 +347,7 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     if params.readout_w is not None:
         flat = cur.reshape(count, -1, cur.shape[-1])
         logits = np.matmul(params.readout_w, flat) + params.readout_b[:, None]
-        if check_finite and not np.all(np.isfinite(logits)):
+        if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite readout logits")
     if not keep_tape:
         return ForwardTape(params, None, None, None, None, cur.copy(order="K"), logits)
@@ -355,15 +355,13 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
 
 
 def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
-                   d_logits: np.ndarray | None = None,
-                   want_input_grad: bool = False):
+                   d_logits: np.ndarray | None = None) -> SgnnParams:
     """Exact reverse-mode gradients through a taped forward pass.
 
     ``d_output`` is the upstream gradient w.r.t. the pre-readout activations
     (N, F_L, n, B); ``d_logits`` w.r.t. the readout logits.  Gradients are
     summed over realizations and batch, so any averaging lives in the
-    upstream.  Returns SgnnParams-shaped gradients (and the input gradient
-    when requested).
+    upstream.  Returns SgnnParams-shaped gradients.
     """
     params, stack = tape.params, tape.stack
     if tape.preacts is None:
@@ -398,38 +396,29 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
         du = d_cur * act_deriv(tape.preacts[l])
         g = grads[l]
         g[:, :, 0] = np.einsum("nfib,ngib->fg", du, x_in)
-        if stack.mode == PER_FILTER:
-            for k in range(k_order):
-                g[:, :, k + 1] = np.einsum("nfib,nfgib->fg", du, zs[k])
-            if l > 0 or want_input_grad:
-                s = stack.dense(l)
-                acc = taps[:, :, k_order, None, None] * du[:, :, None]
-                for k in range(k_order - 1, -1, -1):
-                    st = np.swapaxes(s[:, :, :, k], -1, -2)
-                    acc = taps[:, :, k, None, None] * du[:, :, None] + np.matmul(st, acc)
-                d_cur = acc.sum(axis=1)
-            else:
-                d_cur = None
+        per_filter = stack.mode == PER_FILTER
+        spec = "nfib,nfgib->fg" if per_filter else "nfib,ngib->fg"
+        for k in range(k_order):
+            g[:, :, k + 1] = np.einsum(spec, du, zs[k])
+        if l == 0:
+            break
+        s = stack.dense(l)
+        if per_filter:
+            acc = taps[:, :, k_order, None, None] * du[:, :, None]
+            for k in range(k_order - 1, -1, -1):
+                st = np.swapaxes(s[:, :, :, k], -1, -2)
+                acc = taps[:, :, k, None, None] * du[:, :, None] + np.matmul(st, acc)
+            d_cur = acc.sum(axis=1)
         else:
-            for k in range(k_order):
-                g[:, :, k + 1] = np.einsum("nfib,ngib->fg", du, zs[k])
-            if l > 0 or want_input_grad:
-                s = stack.dense(l)
-                acc = np.einsum("fg,nfib->ngib", taps[:, :, k_order], du)
-                for k in range(k_order - 1, -1, -1):
-                    st = np.swapaxes(s[:, None, k], -1, -2)
-                    acc = np.einsum("fg,nfib->ngib", taps[:, :, k], du) + np.matmul(st, acc)
-                d_cur = acc
-            else:
-                d_cur = None
+            acc = np.einsum("fg,nfib->ngib", taps[:, :, k_order], du)
+            for k in range(k_order - 1, -1, -1):
+                st = np.swapaxes(s[:, None, k], -1, -2)
+                acc = np.einsum("fg,nfib->ngib", taps[:, :, k], du) + np.matmul(st, acc)
+            d_cur = acc
 
     if params.readout_w is not None:
-        out = SgnnParams(arch, grads, gw, gb)
-    else:
-        out = SgnnParams(arch, grads)
-    if want_input_grad:
-        return out, d_cur
-    return out
+        return SgnnParams(arch, grads, gw, gb)
+    return SgnnParams(arch, grads)
 
 
 # ---------------------------------------------------------------------------

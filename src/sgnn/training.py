@@ -1,11 +1,12 @@
-"""Lagrangian machinery, the primal-dual training loop, and its baselines.
+"""Losses, the Lagrangian objective, and the one training loop.
 
 The constrained problem lower-bounds the node-averaged first output moment by
 c_f and upper-bounds the second by c_s, which jointly cap the output variance
-at c_s - c_f^2.  Training alternates a handful of gradient-descent steps on
+at c_s - c_f^2.  ``train`` alternates a handful of gradient-descent steps on
 the filter taps against one projected gradient-ascent step on the two dual
-variables; freezing the duals at zero recovers plain stochastic descent
-bit-for-bit, which the tests rely on.
+variables.  The training mode picks the objective and whether the duals move;
+holding them at zero recovers plain stochastic descent bit-for-bit, which the
+tests rely on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, NumericalError, TrainingDiverged
 from .estimators import plugin_variance, sample_stack
 from .graphs import GresModel
 from .model import PER_FILTER, SHARED, SgnnParams, backward_stack, forward_stack
@@ -26,10 +27,6 @@ PRIMAL_DUAL = "primal_dual"
 UNCONSTRAINED = "unconstrained"
 REGULARIZED = "regularized"
 MODES = (PRIMAL_DUAL, UNCONSTRAINED, REGULARIZED)
-
-SURROGATE = "surrogate"
-ORIGINAL_VARIANCE = "original_variance"
-TARGETS = (SURROGATE, ORIGINAL_VARIANCE)
 
 SGD = "sgd"
 ADAM = "adam"
@@ -164,7 +161,6 @@ class TrainConfig:
     grad_norm_tol: float = 1e-6
     mode: str = PRIMAL_DUAL
     reg_beta: float = 0.0
-    constraint_target: str = SURROGATE
     loss: str = "cross_entropy"
     realization_mode: str = PER_FILTER
     checkpoint_every: int = 0
@@ -173,28 +169,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.c_s < 0:
             raise ConfigError("c_s must be nonnegative")
-        if self.constraint_target == ORIGINAL_VARIANCE and self.c_s - self.c_f ** 2 < 0:
-            raise ConfigError("implied variance bound c_s - c_f^2 is negative")
         if self.eta_primal < 0 or self.eta_dual < 0:
             raise ConfigError("step sizes must be nonnegative")
         if self.gamma_steps < 1:
             raise ConfigError("need at least one primal step per iteration")
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
-        if self.constraint_target not in TARGETS:
-            raise ConfigError(f"unknown constraint target {self.constraint_target!r}")
         if self.optimizer not in (SGD, ADAM):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.realization_mode not in (PER_FILTER, SHARED):
             raise ConfigError(f"unknown realization mode {self.realization_mode!r}")
 
-    @property
-    def c_v(self) -> float:
-        return self.c_s - self.c_f ** 2
-
 
 TRACE_COLUMNS = ["iter", "mean_cost", "first_moment", "second_moment", "variance",
                  "gamma1", "gamma2", "lagrangian", "grad_norm", "slack1", "slack2"]
+
+
+def _csv_cells(row: dict) -> list:
+    """One trace row as CSV cells; floats by repr, so they read back exactly."""
+    return [repr(row[c]) if isinstance(row[c], float) else row[c] for c in TRACE_COLUMNS]
 
 
 @dataclass
@@ -216,9 +209,7 @@ class TrainTrace:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(TRACE_COLUMNS)
-            for r in self.rows:
-                writer.writerow([repr(r[c]) if isinstance(r[c], float) else r[c]
-                                 for c in TRACE_COLUMNS])
+            writer.writerows(_csv_cells(r) for r in self.rows)
 
     @staticmethod
     def from_csv(path) -> "TrainTrace":
@@ -290,14 +281,16 @@ def _phi_and_pred(tape):
     return phi, pred
 
 
-def _objective_value_and_grads(params, gamma, gres, batch, cfg, rng,
-                               mode, reg_weight=0.0):
-    """Value and exact gradients of the training objective on one batch.
+def lagrangian(params: SgnnParams, gamma: DualVars, gres: GresModel, batch: Batch,
+               cfg: TrainConfig, rng: np.random.Generator):
+    """Value and exact parameter gradient of the training objective on one batch.
 
-    ``mode`` selects between the surrogate Lagrangian (moment terms weighted
-    by the duals), the single-dual variance Lagrangian, and the
-    beta-regularized objective; the unconstrained cost falls out of the
-    surrogate path at gamma = 0.
+    In the regularized mode the objective is the cost plus ``cfg.reg_beta``
+    times the plug-in variance.  Otherwise it is the surrogate Lagrangian:
+    the moment terms reach the taps through the backward pass with upstream
+    -gamma1/n on the first moment and +2 gamma2 Phi_i / n on the second (per
+    realization, per sample).  The cost and the moments share the same N
+    sampled sequences.
     """
     loss = Loss(cfg.loss)
     stack = sample_stack(gres, params.arch, cfg.n_realizations, rng,
@@ -306,50 +299,27 @@ def _objective_value_and_grads(params, gamma, gres, batch, cfg, rng,
     phi, pred = _phi_and_pred(tape)
     n_total = float(phi.size)          # N * n * B
     cost = loss.value(pred, batch)
-    m1 = float(np.mean(phi))
-    m2 = float(np.mean(phi * phi))
 
     d_pred = loss.grad(pred, batch)
     d_logits = d_pred if tape.logits is not None else None
     d_out = None if tape.logits is not None else d_pred[:, None]
 
-    if mode == SURROGATE:
-        value = cost + gamma.gamma1 * (cfg.c_f - m1) - gamma.gamma2 * (cfg.c_s - m2)
-        moment_up = (-gamma.gamma1 + 2.0 * gamma.gamma2 * phi) / n_total
-        aux_var = None
-    else:
+    if cfg.mode == REGULARIZED:
         # per-sample plug-in variance, averaged over nodes and the batch
         m1_nb = phi.mean(axis=0)
         per_node = np.mean(phi * phi, axis=0) - m1_nb * m1_nb
-        var = float(np.mean(per_node))
-        weight = gamma.gamma1 if mode == ORIGINAL_VARIANCE else reg_weight
-        if mode == ORIGINAL_VARIANCE:
-            value = cost + weight * (var - cfg.c_v)
-        else:
-            value = cost + weight * var
-        moment_up = weight * 2.0 * (phi - m1_nb) / n_total
-        aux_var = var
+        value = cost + cfg.reg_beta * float(np.mean(per_node))
+        moment_up = cfg.reg_beta * 2.0 * (phi - m1_nb) / n_total
+    else:
+        m1 = float(np.mean(phi))
+        m2 = float(np.mean(phi * phi))
+        value = cost + gamma.gamma1 * (cfg.c_f - m1) - gamma.gamma2 * (cfg.c_s - m2)
+        moment_up = (-gamma.gamma1 + 2.0 * gamma.gamma2 * phi) / n_total
 
-    d_out = moment_up[:, None] if d_out is None else d_out + moment_up[:, None]
-    grads = backward_stack(tape, d_output=d_out, d_logits=d_logits)
-    aux = {"cost": cost, "m1": m1, "m2": m2, "variance": aux_var}
-    return value, grads, aux
-
-
-def lagrangian(params: SgnnParams, gamma: DualVars, gres: GresModel, batch: Batch,
-               cfg: TrainConfig, rng: np.random.Generator):
-    """Empirical Lagrangian value and its exact parameter gradient.
-
-    The cost and both moment estimates share the same N sampled sequences;
-    the moment terms reach the taps through the backward pass with upstream
-    -gamma1/n on the first moment and +2 gamma2 Phi_i / n on the second (per
-    realization, per sample).
-    """
-    value, grads, _ = _objective_value_and_grads(
-        params, gamma, gres, batch, cfg, rng, SURROGATE)
     if not math.isfinite(value):
         raise TrainingDiverged(f"non-finite Lagrangian value {value}")
-    return value, grads
+    d_out = moment_up[:, None] if d_out is None else d_out + moment_up[:, None]
+    return value, backward_stack(tape, d_output=d_out, d_logits=d_logits)
 
 
 def dual_step(gamma: DualVars, moments, cfg: TrainConfig) -> DualVars:
@@ -363,14 +333,8 @@ def dual_step(gamma: DualVars, moments, cfg: TrainConfig) -> DualVars:
     return DualVars(g1, g2)
 
 
-def variance_dual_step(gamma: DualVars, variance: float, cfg: TrainConfig) -> DualVars:
-    """Single-multiplier ascent when constraining the variance directly."""
-    g = max(0.0, gamma.gamma1 + cfg.eta_dual * (variance - cfg.c_v))
-    return DualVars(g, 0.0)
-
-
 # ---------------------------------------------------------------------------
-# Training loops
+# Training
 # ---------------------------------------------------------------------------
 
 
@@ -389,82 +353,46 @@ def _dual_phase_metrics(params, gres, dataset, cfg, rng):
     return cost, m1, m2, variance
 
 
-def _train_loop(init_params, init_gamma, gres, dataset, cfg, rng,
-                objective_mode, update_dual, reg_weight=0.0, callback=None):
+def train(init_params: SgnnParams, gres: GresModel, dataset, cfg: TrainConfig,
+          rng, init_gamma: DualVars | None = None, callback=None):
+    """Train from ``init_params``; returns (params, gamma, trace) for every mode.
+
+    Primal-dual mode descends the Lagrangian and steps the duals, from
+    ``init_gamma``, after every iteration; unconstrained mode descends the
+    same Lagrangian with the duals held at zero; regularized mode descends
+    cost plus ``reg_beta`` times the plug-in variance.  Stops at
+    ``max_iters`` or once the gradient norm drops under the tolerance.  A
+    non-finite forward pass or Lagrangian, or a cost that is non-finite or
+    above ``divergence_limit``, raises TrainingDiverged carrying the partial
+    trace.
+    """
     rng = rngmod.root_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    update_dual = cfg.mode == PRIMAL_DUAL
     params = init_params
-    gamma = init_gamma
+    gamma = (init_gamma or DualVars()) if update_dual else DualVars()
     optimizer = make_optimizer(cfg)
     trace = TrainTrace()
     value = grad_norm = float("nan")
     for t in range(cfg.max_iters):
-        for _ in range(cfg.gamma_steps):
-            batch = dataset.sample_batch(rng, cfg.batch_size, "train")
-            value, grads, _ = _objective_value_and_grads(
-                params, gamma, gres, batch, cfg, rng, objective_mode, reg_weight)
-            grad_norm = float(np.linalg.norm(grads.flatten()))
-            params = optimizer.step(params, grads)
-        cost, m1, m2, variance = _dual_phase_metrics(params, gres, dataset, cfg, rng)
+        try:
+            for _ in range(cfg.gamma_steps):
+                batch = dataset.sample_batch(rng, cfg.batch_size, "train")
+                value, grads = lagrangian(params, gamma, gres, batch, cfg, rng)
+                grad_norm = float(np.linalg.norm(grads.flatten()))
+                params = optimizer.step(params, grads)
+            cost, m1, m2, variance = _dual_phase_metrics(params, gres, dataset, cfg, rng)
+        except NumericalError as exc:
+            raise TrainingDiverged(f"training diverged at iteration {t}: {exc}", trace) from exc
         if update_dual:
-            if objective_mode == ORIGINAL_VARIANCE:
-                gamma = variance_dual_step(gamma, variance, cfg)
-            else:
-                gamma = dual_step(gamma, (m1, m2), cfg)
+            gamma = dual_step(gamma, (m1, m2), cfg)
         trace.append(iter=t, mean_cost=cost, first_moment=m1, second_moment=m2,
                      variance=variance, gamma1=gamma.gamma1, gamma2=gamma.gamma2,
                      lagrangian=value, grad_norm=grad_norm,
                      slack1=m1 - cfg.c_f, slack2=cfg.c_s - m2)
         if callback is not None:
             callback(t, params, gamma, trace)
-        if not math.isfinite(cost) or not math.isfinite(value) or cost > cfg.divergence_limit:
+        if not math.isfinite(cost) or cost > cfg.divergence_limit:
             raise TrainingDiverged(f"training diverged at iteration {t} (cost={cost})", trace)
         if grad_norm < cfg.grad_norm_tol:
             break
     return params, gamma, trace
-
-
-def train_primal_dual(init_params: SgnnParams, init_gamma: DualVars, gres: GresModel,
-                      dataset, cfg: TrainConfig, rng, callback=None):
-    """Alternating primal descent / projected dual ascent.
-
-    Stops at ``max_iters`` or once the Lagrangian gradient norm drops under
-    the tolerance; raises TrainingDiverged (carrying the partial trace) if
-    the cost blows up.
-    """
-    objective = SURROGATE if cfg.constraint_target == SURROGATE else ORIGINAL_VARIANCE
-    params, gamma, trace = _train_loop(
-        init_params, init_gamma, gres, dataset, cfg, rng,
-        objective_mode=objective, update_dual=True, callback=callback)
-    return params, gamma, trace
-
-
-def train_unconstrained(init_params: SgnnParams, gres: GresModel, dataset,
-                        cfg: TrainConfig, rng, callback=None):
-    """Plain stochastic descent on the expected cost (duals pinned at zero)."""
-    params, _, trace = _train_loop(
-        init_params, DualVars(0.0, 0.0), gres, dataset, cfg, rng,
-        objective_mode=SURROGATE, update_dual=False, callback=callback)
-    return params, trace
-
-
-def train_regularized(init_params: SgnnParams, gres: GresModel, dataset,
-                      cfg: TrainConfig, rng, callback=None):
-    """Descent on cost + beta * plug-in variance (fixed-weight baseline)."""
-    params, _, trace = _train_loop(
-        init_params, DualVars(0.0, 0.0), gres, dataset, cfg, rng,
-        objective_mode=REGULARIZED, update_dual=False,
-        reg_weight=cfg.reg_beta, callback=callback)
-    return params, trace
-
-
-def train(init_params: SgnnParams, gres: GresModel, dataset, cfg: TrainConfig,
-          rng, init_gamma: DualVars | None = None, callback=None):
-    """Mode dispatch; returns (params, gamma, trace) for every mode."""
-    if cfg.mode == PRIMAL_DUAL:
-        return train_primal_dual(init_params, init_gamma or DualVars(),
-                                 gres, dataset, cfg, rng, callback)
-    if cfg.mode == UNCONSTRAINED:
-        params, trace = train_unconstrained(init_params, gres, dataset, cfg, rng, callback)
-        return params, DualVars(), trace
-    params, trace = train_regularized(init_params, gres, dataset, cfg, rng, callback)
-    return params, DualVars(), trace

@@ -65,7 +65,7 @@ class BoundReport:
     check_name: str
     empirical: float
     bound: float
-    mc_stderr: float = 0.0
+    stderr: float = 0.0
     inputs: dict = field(default_factory=dict)
 
     @property
@@ -74,7 +74,7 @@ class BoundReport:
 
     @property
     def violated(self) -> bool:
-        return self.empirical > self.bound + 3.0 * self.mc_stderr
+        return self.empirical > self.bound + 3.0 * self.stderr
 
     def to_dict(self) -> dict:
         return {
@@ -84,7 +84,7 @@ class BoundReport:
             "bound": self.bound,
             "slack": self.slack,
             "violated": self.violated,
-            "stderr": self.mc_stderr,
+            "stderr": self.stderr,
         }
 
 
@@ -447,7 +447,7 @@ def write_reports(reports: list, csv_path, json_dir=None) -> None:
         writer.writerow(VERIFY_COLUMNS)
         for r in reports:
             writer.writerow([r.check_name, repr(r.empirical), repr(r.bound),
-                             repr(r.slack), int(r.violated), repr(r.mc_stderr)])
+                             repr(r.slack), int(r.violated), repr(r.stderr)])
     if json_dir is not None:
         os.makedirs(json_dir, exist_ok=True)
         counts = {}

@@ -169,14 +169,14 @@ def test_criterion_02_gradients_match_finite_differences():
             loss_name = "masked_mse"
         gamma = T.DualVars(0.7, 0.4)
         seed = int(rng.integers(10 ** 6))
-        for mode, gm, beta in ((T.SURROGATE, T.DualVars(0.0, 0.0), 0.0),
-                               (T.SURROGATE, gamma, 0.0),
+        for mode, gm, beta in ((T.PRIMAL_DUAL, T.DualVars(0.0, 0.0), 0.0),
+                               (T.PRIMAL_DUAL, gamma, 0.0),
                                (T.REGULARIZED, T.DualVars(0.0, 0.0), 0.6)):
-            cfg = T.TrainConfig(n_realizations=2, loss=loss_name, c_f=0.2, c_s=0.4)
+            cfg = T.TrainConfig(n_realizations=2, loss=loss_name, c_f=0.2, c_s=0.4,
+                                mode=mode, reg_beta=beta)
 
-            def objective(p, want_grads=False, _m=mode, _g=gm, _b=beta, _c=cfg, _s=seed):
-                v, grads, _ = T._objective_value_and_grads(
-                    p, _g, gres, batch, _c, R.root_rng(_s), _m, reg_weight=_b)
+            def objective(p, want_grads=False, _g=gm, _c=cfg, _s=seed):
+                v, grads = T.lagrangian(p, _g, gres, batch, _c, R.root_rng(_s))
                 return grads if want_grads else v
 
             worst = max(worst, _fd_check(params, objective))
@@ -262,8 +262,7 @@ def test_criterion_05_chebyshev_on_trained_feasible_model():
     arch = Architecture((1, 3, 1), 3, activation="leaky_relu", readout=4)
     params0 = init_params(arch, R.derive(SEED, 31), n=20)
     tc = replace(DESK_TRAIN, max_iters=400, c_s=0.4)
-    params, gamma, trace = T.train_primal_dual(params0, T.DualVars(), gres, ds,
-                                               tc, R.derive(SEED, 32))
+    params, gamma, trace = T.train(params0, gres, ds, tc, R.derive(SEED, 32))
     tail_slack = trace.column("slack2")[-50:].mean()
     x = ds.inputs[0, 0]
     var = estimate_moments(params, gres, x, McConfig(2000, master_seed=SEED + 5)).variance
@@ -311,8 +310,7 @@ def test_criterion_07_primal_dual_mechanics():
     graph, gres, ds = X.gen_source_localization(scfg, R.derive(SEED, 40))
     params0 = init_params(DESK_ARCH, R.derive(SEED, 41), n=50)
     tc = replace(DESK_TRAIN, c_f=0.0, c_s=0.5)
-    _, gamma, trace = T.train_primal_dual(params0, T.DualVars(), gres, ds, tc,
-                                          R.derive(SEED, 42))
+    _, gamma, trace = T.train(params0, gres, ds, tc, R.derive(SEED, 42))
     g1 = trace.column("gamma1")
     g2 = trace.column("gamma2")
     nonneg = bool(np.all(g1 >= 0) and np.all(g2 >= 0))
@@ -328,10 +326,9 @@ def test_criterion_07_primal_dual_mechanics():
     graph, gres_s, ds_s = X.gen_source_localization(scfg_small, R.derive(SEED, 43))
     params_s = init_params(DESK_ARCH, R.derive(SEED, 44), n=50)
     tc_frozen = replace(DESK_TRAIN, max_iters=60, c_f=-1e9, c_s=1e9)
-    p_pd, _, tr_pd = T.train_primal_dual(params_s, T.DualVars(), gres_s, ds_s,
-                                         tc_frozen, R.derive(SEED, 45))
-    p_un, tr_un = T.train_unconstrained(params_s, gres_s, ds_s, tc_frozen,
-                                        R.derive(SEED, 45))
+    p_pd, _, tr_pd = T.train(params_s, gres_s, ds_s, tc_frozen, R.derive(SEED, 45))
+    p_un, _, tr_un = T.train(params_s, gres_s, ds_s,
+                             replace(tc_frozen, mode=T.UNCONSTRAINED), R.derive(SEED, 45))
     identical = all(np.array_equal(a, b) for a, b in zip(p_pd.arrays(), p_un.arrays()))
     identical = identical and all(
         np.array_equal(tr_pd.column(c), tr_un.column(c))
@@ -416,8 +413,7 @@ def cv_sweep():
 
     def one(cv):
         tc = replace(DESK_TRAIN, c_f=0.0, c_s=cv, loss="masked_mse", max_iters=1200)
-        params, gamma, trace = T.train_primal_dual(params0, T.DualVars(), gres, ds,
-                                                   tc, R.derive(SEED, 52))
+        params, gamma, trace = T.train(params0, gres, ds, tc, R.derive(SEED, 52))
         c_l = V.model_lipschitz(params, 1.0, 2000, R.derive(SEED, 53),
                                 reduce="mean")
         return cv, (c_l, trace)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sgnn import cli
+from sgnn.training import TrainTrace
 
 
 def write_config(path, doc):
@@ -49,6 +50,30 @@ class TestTrainCommand:
                            {"schema": 1, "source": {"signal_gain": 2.0}})
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
+
+    def test_constraint_target_is_not_an_option(self, tmp_path):
+        cfg = write_config(tmp_path / "bad.json",
+                           {"schema": 1, "train": {"constraint_target": "surrogate"}})
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+
+    def test_trace_is_written_as_train_trace_writes_it(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", tiny_config, "--out", str(out)]) == cli.EXIT_OK
+        again = tmp_path / "again.csv"
+        TrainTrace.from_csv(out / "trace.csv").to_csv(again)
+        assert (out / "trace.csv").read_bytes() == again.read_bytes()
+
+    def test_non_finite_training_exits_three_keeping_streamed_rows(self, tiny_config,
+                                                                   tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--config", tiny_config, "--out", str(out),
+                       "--override", "train.optimizer=sgd",
+                       "--override", "train.eta_primal=1e100",
+                       "--override", "train.divergence_limit=Infinity"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "training diverged at iteration 1: non-finite" in capsys.readouterr().err
+        assert [r["iter"] for r in TrainTrace.from_csv(out / "trace.csv").rows] == [0]
 
     def test_wrong_schema_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {"schema": 99})

@@ -170,17 +170,6 @@ class TestEstimateMoments:
         se = means.std(ddof=1) / np.sqrt(len(reps))
         assert abs(means.mean() - float(m1.mean())) <= 3 * se + 1e-12
 
-    def test_antithetic_stays_unbiased(self):
-        gres = small_gres(p=0.4, q=0.3, seed=9)
-        params = linear_filter_params(0.1, 1.0)
-        x = np.random.default_rng(10).normal(size=gres.n)
-        plain = [E.estimate_moments(params, gres, x, E.McConfig(400, master_seed=s)).first_moment
-                 for s in range(8)]
-        anti = [E.estimate_moments(params, gres, x,
-                                   E.McConfig(400, master_seed=s, antithetic=True)).first_moment
-                for s in range(8)]
-        assert np.mean(anti) == pytest.approx(np.mean(plain), abs=4 * np.std(plain))
-
 
 class TestDeviationProbability:
     def test_degenerate_probability_one(self, rng):

@@ -280,6 +280,25 @@ class TestRunExperiment:
         X.run_experiment(self.desk_cfg(), out_dir=d2)
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 
+    def test_recsys_cells_give_the_same_files_on_one_and_two_threads(self, tmp_path,
+                                                                       monkeypatch):
+        ratings = tmp_path / "u.data"
+        X.write_synthetic_movielens(ratings, seed=3)
+        cfg = X.ExperimentConfig(
+            task=X.RECSYS, p_values=(0.0, 0.1), modes=(UNCONSTRAINED,), master_seed=7,
+            arch=Architecture((1, 2, 1), 2, activation="leaky_relu"),
+            train=TrainConfig(max_iters=3, n_realizations=2, batch_size=8,
+                              loss="masked_mse", grad_norm_tol=0.0),
+            recsys=X.RecsysConfig(max_samples=200), ratings_path=str(ratings),
+            eval_draws=2)
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SGNN_THREADS", threads)
+            out = tmp_path / threads
+            X.run_experiment(cfg, out_dir=out)
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
+
     def test_cv_sweep_schema(self, tmp_path):
         cfg = self.desk_cfg()
         rows = X.run_cv_sweep(cfg, c_v_values=(0.3, 0.6), out_dir=tmp_path,

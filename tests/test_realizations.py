@@ -25,18 +25,12 @@ from sgnn.model import (
 from sgnn.training import Batch, TrainConfig, train
 
 
-def dense_reference(gres, arch, count, rng, mode, antithetic):
+def dense_reference(gres, arch, count, rng, mode):
     """Per layer, the shifts drawn and built densely, one uniform per edge.
 
     Mirrors the sampling contract: per layer, all drop uniforms, then all add
-    uniforms, with antithetic rows paired as (u, 1 - u).
+    uniforms.
     """
-    def uniforms(rows, width):
-        if not antithetic:
-            return rng.random((rows, width))
-        u = rng.random(((rows + 1) // 2, width))
-        return np.concatenate([u, 1.0 - u])[:rows]
-
     n = gres.n
     drops = set(gres.drop_edges)
     kept = [e for e in gres.nominal.edges() if e not in drops]
@@ -49,11 +43,11 @@ def dense_reference(gres, arch, count, rng, mode, antithetic):
         for i, j, w in kept:
             a[:, i, j] = a[:, j, i] = w
         if gres.m_drop:
-            u = uniforms(rows, gres.m_drop)
+            u = rng.random((rows, gres.m_drop))
             for t, (i, j, w) in enumerate(gres.drop_edges):
                 a[:, i, j] = a[:, j, i] = np.where(u[:, t] >= gres.p, w, 0.0)
         if gres.m_add:
-            u = uniforms(rows, gres.m_add)
+            u = rng.random((rows, gres.m_add))
             for t, (i, j, w) in enumerate(gres.add_edges):
                 a[:, i, j] = a[:, j, i] = np.where(u[:, t] < gres.q, w, 0.0)
         if gres.nominal.kind == G.LAPLACIAN:
@@ -67,15 +61,14 @@ def dense_reference(gres, arch, count, rng, mode, antithetic):
 
 @pytest.mark.parametrize("kind", G.KINDS)
 @pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_sample_stack_matches_dense_construction(kind, mode, antithetic):
+def test_sample_stack_matches_dense_construction(kind, mode):
     gres = small_gres(n=7, p=0.4, q=0.3, kind=kind, seed=2)
     assert gres.m_drop and gres.m_add
     arch = Architecture((1, 3, 2), 2)
     stacks, refs = [], []
     for seed in range(3):
-        stacks.append(sample_stack(gres, arch, 3, np.random.default_rng(seed), mode, antithetic))
-        refs.append(dense_reference(gres, arch, 3, np.random.default_rng(seed), mode, antithetic))
+        stacks.append(sample_stack(gres, arch, 3, np.random.default_rng(seed), mode))
+        refs.append(dense_reference(gres, arch, 3, np.random.default_rng(seed), mode))
     # materialize in an order that makes every draw start from another's leftovers
     for s, ref in [(0, refs[0]), (1, refs[1]), (0, refs[0]), (2, refs[2]), (1, refs[1])]:
         for l in range(arch.layers):

@@ -7,7 +7,7 @@ import pytest
 from conftest import small_gres
 from sgnn import rng as R
 from sgnn import training as T
-from sgnn.errors import ConfigError, TrainingDiverged
+from sgnn.errors import ConfigError, NumericalError, TrainingDiverged
 from sgnn.estimators import McConfig, estimate_cost
 from sgnn.model import Architecture, SgnnParams, init_params
 
@@ -122,13 +122,6 @@ class TestDualStep:
         with pytest.raises(ConfigError):
             T.DualVars(-0.1, 0.0)
 
-    def test_variance_dual_step(self):
-        cfg = self.cfg(c_f=0.0, c_s=0.5, eta_dual=0.5,
-                       constraint_target=T.ORIGINAL_VARIANCE)
-        g = T.variance_dual_step(T.DualVars(0.1, 0.0), 0.9, cfg)
-        assert g.gamma1 == pytest.approx(0.1 + 0.5 * (0.9 - 0.5))
-        assert g.gamma2 == 0.0
-
 
 class TestLagrangian:
     def test_zero_duals_equal_estimated_cost(self, rng):
@@ -159,27 +152,20 @@ class TestLagrangian:
         phi = forward_stack(params, stack, x).output[:, 0]
         assert value == pytest.approx(0.8 - float(np.mean(phi)), abs=1e-12)
 
-    @pytest.mark.parametrize("target,mode_kw", [
-        (T.SURROGATE, dict(c_f=0.1, c_s=0.3)),
-        (T.ORIGINAL_VARIANCE, dict(c_f=0.0, c_s=0.4, constraint_target=T.ORIGINAL_VARIANCE)),
-    ])
-    def test_gradient_matches_finite_differences(self, rng, target, mode_kw):
+    def test_gradient_matches_finite_differences(self, rng):
         gres = small_gres(p=0.3, q=0.2)
         arch = Architecture((1, 3, 1), 2, activation="leaky_relu", readout=2)
         params = init_params(arch, rng, n=gres.n)
         x = rng.normal(size=(1, gres.n, 4))
         labels = rng.integers(0, 2, size=4)
         batch = T.Batch(x, labels)
-        cfg = T.TrainConfig(n_realizations=3, loss="cross_entropy", **mode_kw)
+        cfg = T.TrainConfig(n_realizations=3, loss="cross_entropy", c_f=0.1, c_s=0.3)
         gamma = T.DualVars(0.6, 0.3)
 
         def value_of(p):
-            v, _, _ = T._objective_value_and_grads(
-                p, gamma, gres, batch, cfg, R.root_rng(5), target)
-            return v
+            return T.lagrangian(p, gamma, gres, batch, cfg, R.root_rng(5))[0]
 
-        _, grads, _ = T._objective_value_and_grads(
-            params, gamma, gres, batch, cfg, R.root_rng(5), target)
+        _, grads = T.lagrangian(params, gamma, gres, batch, cfg, R.root_rng(5))
         flat, gflat = params.flatten(), grads.flatten()
         num = np.zeros_like(flat)
         for i in range(flat.size):
@@ -201,14 +187,9 @@ class TestLagrangian:
                             reg_beta=0.7)
 
         def value_of(p):
-            v, _, _ = T._objective_value_and_grads(
-                p, T.DualVars(), gres, batch, cfg, R.root_rng(9), T.REGULARIZED,
-                reg_weight=0.7)
-            return v
+            return T.lagrangian(p, T.DualVars(), gres, batch, cfg, R.root_rng(9))[0]
 
-        _, grads, _ = T._objective_value_and_grads(
-            params, T.DualVars(), gres, batch, cfg, R.root_rng(9), T.REGULARIZED,
-            reg_weight=0.7)
+        _, grads = T.lagrangian(params, T.DualVars(), gres, batch, cfg, R.root_rng(9))
         flat, gflat = params.flatten(), grads.flatten()
         num = np.zeros_like(flat)
         for i in range(flat.size):
@@ -312,31 +293,30 @@ class TestTrainingLoops:
 
     def test_zero_iterations_identity(self):
         gres, params, ds = self.make_setup()
-        out, gamma, trace = T.train_primal_dual(
-            params, T.DualVars(0.2, 0.3), gres, ds, self.cfg(max_iters=0), 5)
+        out, gamma, trace = T.train(params, gres, ds, self.cfg(max_iters=0), 5,
+                                    init_gamma=T.DualVars(0.2, 0.3))
         assert out is params
         assert (gamma.gamma1, gamma.gamma2) == (0.2, 0.3)
         assert len(trace) == 0
 
     def test_gammas_nonnegative_throughout(self):
         gres, params, ds = self.make_setup()
-        _, _, trace = T.train_primal_dual(params, T.DualVars(), gres, ds,
-                                          self.cfg(max_iters=10), 7)
+        _, _, trace = T.train(params, gres, ds, self.cfg(max_iters=10), 7)
         assert np.all(trace.column("gamma1") >= 0)
         assert np.all(trace.column("gamma2") >= 0)
 
     def test_slack_constraints_keep_duals_zero(self):
         gres, params, ds = self.make_setup()
         cfg = self.cfg(c_f=-1e6, c_s=1e6)
-        _, gamma, trace = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 9)
+        _, gamma, trace = T.train(params, gres, ds, cfg, 9)
         assert gamma.gamma1 == 0.0 and gamma.gamma2 == 0.0
         assert np.all(trace.column("gamma1") == 0.0)
 
     def test_frozen_duals_reproduce_unconstrained_bitwise(self):
         gres, params, ds = self.make_setup()
         cfg = self.cfg(c_f=-1e6, c_s=1e6, max_iters=8)
-        p_pd, _, tr_pd = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 11)
-        p_un, tr_un = T.train_unconstrained(params, gres, ds, cfg, 11)
+        p_pd, _, tr_pd = T.train(params, gres, ds, cfg, 11)
+        p_un, _, tr_un = T.train(params, gres, ds, replace(cfg, mode=T.UNCONSTRAINED), 11)
         for a, b in zip(p_pd.arrays(), p_un.arrays()):
             np.testing.assert_array_equal(a, b)
         for col in T.TRACE_COLUMNS:
@@ -347,9 +327,9 @@ class TestTrainingLoops:
     def test_regularized_beta_zero_matches_unconstrained(self):
         gres, params, ds = self.make_setup()
         cfg = self.cfg(mode=T.REGULARIZED, reg_beta=0.0, max_iters=8)
-        p_reg, tr_reg = T.train_regularized(params, gres, ds, cfg, 13)
+        p_reg, _, tr_reg = T.train(params, gres, ds, cfg, 13)
         cfg_u = self.cfg(mode=T.UNCONSTRAINED, max_iters=8)
-        p_un, tr_un = T.train_unconstrained(params, gres, ds, cfg_u, 13)
+        p_un, _, tr_un = T.train(params, gres, ds, cfg_u, 13)
         for a, b in zip(p_reg.arrays(), p_un.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -357,9 +337,8 @@ class TestTrainingLoops:
         gres, params, ds = self.make_setup()
         quiet = small_gres(p=0.0, q=0.0)
         cfg = self.cfg(mode=T.REGULARIZED, reg_beta=2.0, max_iters=5)
-        p_reg, _ = T.train_regularized(params, quiet, ds, cfg, 15)
-        p_un, _ = T.train_unconstrained(params, quiet, ds,
-                                        self.cfg(mode=T.UNCONSTRAINED, max_iters=5), 15)
+        p_reg, _, _ = T.train(params, quiet, ds, cfg, 15)
+        p_un, _, _ = T.train(params, quiet, ds, self.cfg(mode=T.UNCONSTRAINED, max_iters=5), 15)
         for a, b in zip(p_reg.arrays(), p_un.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -368,32 +347,36 @@ class TestTrainingLoops:
         cfg = self.cfg(max_iters=6)
         paths = []
         for run in range(2):
-            _, _, trace = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 21)
+            _, _, trace = T.train(params, gres, ds, cfg, 21)
             path = tmp_path / f"trace{run}.csv"
             trace.to_csv(path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_original_variance_mode(self):
-        gres, params, ds = self.make_setup()
-        cfg = self.cfg(constraint_target=T.ORIGINAL_VARIANCE, c_f=0.0, c_s=0.2)
-        _, gamma, trace = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 23)
-        assert gamma.gamma2 == 0.0
-        assert np.all(trace.column("gamma1") >= 0)
-
     def test_divergence_aborts_with_trace(self):
         gres, params, ds = self.make_setup(readout=False)
         cfg = self.cfg(loss="masked_mse", eta_primal=1e6, optimizer=T.SGD,
-                       max_iters=30, divergence_limit=1e4)
+                       max_iters=30, divergence_limit=1e4, mode=T.UNCONSTRAINED)
         with pytest.raises(TrainingDiverged) as err:
-            T.train_unconstrained(params, gres, ds, cfg, 25)
+            T.train(params, gres, ds, cfg, 25)
         assert err.value.trace is not None and len(err.value.trace) >= 1
+
+    def test_non_finite_forward_pass_aborts_with_trace(self):
+        gres, params, ds = self.make_setup(readout=False)
+        # the first step leaves finite taps; the second iteration's forward overflows
+        cfg = self.cfg(loss="masked_mse", eta_primal=1e60, optimizer=T.SGD,
+                       max_iters=30, divergence_limit=math.inf, mode=T.UNCONSTRAINED)
+        with pytest.raises(TrainingDiverged) as err:
+            T.train(params, gres, ds, cfg, 25)
+        assert isinstance(err.value.__cause__, NumericalError)
+        assert "non-finite pre-activation" in str(err.value.__cause__)
+        assert [r["iter"] for r in err.value.trace.rows] == [0]
 
     def test_grad_norm_stopping(self):
         gres, params, ds = self.make_setup(readout=False)
         cfg = self.cfg(loss="masked_mse", eta_primal=0.0, optimizer=T.SGD,
-                       grad_norm_tol=1e9, max_iters=50)
-        _, trace = T.train_unconstrained(params, gres, ds, cfg, 27)
+                       grad_norm_tol=1e9, max_iters=50, mode=T.UNCONSTRAINED)
+        _, _, trace = T.train(params, gres, ds, cfg, 27)
         assert len(trace) == 1
 
     def test_adam_state_carries_across_iterations(self):
@@ -402,15 +385,14 @@ class TestTrainingLoops:
         # what makes the comparison here deterministic and reproducible
         gres, params, ds = self.make_setup()
         cfg = self.cfg(max_iters=4, gamma_steps=2)
-        out1, _, _ = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 31)
-        out2, _, _ = T.train_primal_dual(params, T.DualVars(), gres, ds, cfg, 31)
+        out1, _, _ = T.train(params, gres, ds, cfg, 31)
+        out2, _, _ = T.train(params, gres, ds, cfg, 31)
         for a, b in zip(out1.arrays(), out2.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_trace_csv_round_trip(self, tmp_path):
         gres, params, ds = self.make_setup()
-        _, _, trace = T.train_primal_dual(params, T.DualVars(), gres, ds,
-                                          self.cfg(max_iters=3), 33)
+        _, _, trace = T.train(params, gres, ds, self.cfg(max_iters=3), 33)
         path = tmp_path / "t.csv"
         trace.to_csv(path)
         back = T.TrainTrace.from_csv(path)
@@ -428,9 +410,3 @@ class TestConfigValidation:
             T.TrainConfig(mode="bogus")
         with pytest.raises(ConfigError):
             T.TrainConfig(optimizer="lbfgs")
-        with pytest.raises(ConfigError):
-            T.TrainConfig(constraint_target=T.ORIGINAL_VARIANCE, c_f=2.0, c_s=0.5)
-
-    def test_c_v_identity(self):
-        cfg = T.TrainConfig(c_f=0.5, c_s=0.75)
-        assert cfg.c_v == pytest.approx(0.5)

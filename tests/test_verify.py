@@ -279,9 +279,9 @@ class TestRescaleToUnitResponse:
 
 class TestReportPlumbing:
     def test_violated_threshold_rule(self):
-        ok = V.BoundReport("x", empirical=1.0, bound=0.9, mc_stderr=0.05)
+        ok = V.BoundReport("x", empirical=1.0, bound=0.9, stderr=0.05)
         assert not ok.violated  # inside 3 sigma
-        bad = V.BoundReport("x", empirical=1.0, bound=0.9, mc_stderr=0.01)
+        bad = V.BoundReport("x", empirical=1.0, bound=0.9, stderr=0.01)
         assert bad.violated
         assert bad.slack == pytest.approx(-0.1)
 
