@@ -2,10 +2,11 @@
 
 Subcommands: ``train`` (one training run), ``eval`` (metrics for a checkpoint
 over a probability sweep), ``verify`` (the closed-form check suite),
-``gen-data`` (materialize datasets), ``report`` (aggregate results into
-per-figure CSV files).  All randomness flows from ``--seed``; repeating any
-command with the same config and seed reproduces its CSV outputs byte for
-byte.
+``gen-data`` (materialize datasets), ``sweep`` (every cell of the config),
+``report`` (aggregate results into per-figure CSV files).  ``--full`` merges
+the config's partial ``full`` document over it before the ``--override``s
+apply.  All randomness flows from ``--seed``; repeating any command with the
+same config and seed reproduces its CSV outputs byte for byte.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 violation.
@@ -18,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .experiments import (
     RecsysConfig,
     SourceLocConfig,
     build_recsys_task,
-    gen_source_localization,
+    cell_task,
     load_movielens,
+    load_ratings,
+    metric_rows,
     read_results,
     run_cv_sweep,
     run_experiment,
@@ -79,20 +81,35 @@ def _parse_override(text: str):
     return key, value
 
 
+def _merge(doc: dict, update: dict) -> dict:
+    """``doc`` with ``update`` merged over it key by key, objects recursively."""
+    out = dict(doc)
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merge(out[key], value)
+        out[key] = value
+    return out
+
+
 def _apply_overrides(doc: dict, overrides) -> dict:
     for text in overrides or []:
         key, value = _parse_override(text)
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        doc = _merge(doc, value)
     return doc
 
 
-def load_config(path, overrides=None) -> dict:
+def _merge_full(doc: dict) -> dict:
+    """The document with its partial ``full`` document merged over it."""
+    full = doc.get("full") or {}
+    _check_keys(full, TOP_KEYS, "full")
+    return _merge({k: v for k, v in doc.items() if k != "full"}, full)
+
+
+def load_config(path, overrides=None, full: bool = False) -> dict:
+    """The config document at ``path``; with ``full``, its ``full`` section is
+    merged over it first, so an override always wins."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as f:
@@ -105,25 +122,23 @@ def load_config(path, overrides=None) -> dict:
     schema = doc.get("schema")
     if schema != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema {schema!r} (expected {CONFIG_SCHEMA_VERSION})")
-    return _apply_overrides(doc, overrides)
+    return _apply_overrides(_merge_full(doc) if full else doc, overrides)
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
 def _build(section: dict, cls, where: str):
-    fields = cls.__dataclass_fields__
-    _check_keys(section, fields, where)
-    kwargs = {}
-    for key, value in section.items():
-        if key in ("features", "p_values", "modes", "graph_seeds", "split_sizes",
-                   "split_fractions"):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    _check_keys(section, cls.__dataclass_fields__, where)
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 TOP_KEYS = ("schema", "task", "architecture", "train", "source", "recsys",
@@ -132,46 +147,25 @@ TOP_KEYS = ("schema", "task", "architecture", "train", "source", "recsys",
 
 
 def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> ExperimentConfig:
+    """The experiment a config document describes; ``full`` merges its ``full``
+    section over it first.  That section is checked either way."""
+    if "full" in doc:
+        merged = parse_experiment_config(_merge_full(doc), seed)
+        if full:
+            return merged
     _check_keys(doc, TOP_KEYS, "config")
-    arch = _build(doc.get("architecture", {}), Architecture, "architecture") \
-        if "architecture" in doc else ExperimentConfig().arch
-    tc = _build(doc.get("train", {}), TrainConfig, "train")
-    source = _build(doc.get("source", {}), SourceLocConfig, "source")
-    recsys = _build(doc.get("recsys", {}), RecsysConfig, "recsys")
     sweep = doc.get("sweep", {})
     _check_keys(sweep, ("p_values", "modes", "graph_seeds"), "sweep")
-    kwargs = dict(
-        task=doc.get("task", SOURCE_LOCALIZATION),
-        arch=arch,
-        train=tc,
-        source=source,
-        recsys=recsys,
-        master_seed=seed,
-        ratings_path=doc.get("ratings_path"),
-        eval_draws=doc.get("eval_draws", 200),
-        cost_window=doc.get("cost_window", 100),
-    )
-    if "p_values" in sweep:
-        kwargs["p_values"] = tuple(sweep["p_values"])
-    if "modes" in sweep:
-        kwargs["modes"] = tuple(sweep["modes"])
-    if "graph_seeds" in sweep:
-        kwargs["graph_seeds"] = tuple(sweep["graph_seeds"])
-    if full and doc.get("full"):
-        for key, value in doc["full"].items():
-            if key == "source":
-                kwargs["source"] = replace(kwargs["source"], **value)
-            elif key == "train":
-                kwargs["train"] = replace(kwargs["train"], **value)
-            elif key == "recsys":
-                kwargs["recsys"] = replace(kwargs["recsys"], **value)
-            elif key == "architecture":
-                kwargs["arch"] = _build(value, Architecture, "full.architecture")
-            elif key in ("p_values", "modes", "graph_seeds"):
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    kwargs = {k: v for k, v in doc.items() if k in ("task", "ratings_path", "eval_draws",
+                                                     "cost_window")}
+    kwargs.update({k: tuple(v) for k, v in sweep.items()})
+    if "architecture" in doc:
+        kwargs["arch"] = _build(doc["architecture"], Architecture, "architecture")
+    return ExperimentConfig(
+        train=_build(doc.get("train", {}), TrainConfig, "train"),
+        source=_build(doc.get("source", {}), SourceLocConfig, "source"),
+        recsys=_build(doc.get("recsys", {}), RecsysConfig, "recsys"),
+        master_seed=seed, **kwargs)
 
 
 def _prepare_out_dir(out_dir, overwrite: bool, expected_files) -> None:
@@ -186,38 +180,18 @@ def _prepare_out_dir(out_dir, overwrite: bool, expected_files) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Task construction shared by train/eval
-# ---------------------------------------------------------------------------
-
-
-def _materialize_task(cfg: ExperimentConfig, p: float):
-    """(gres, dataset, n, task) for the configured task at drop probability p;
-    task is the RecsysTask, or None for source localization."""
-    if cfg.task == SOURCE_LOCALIZATION:
-        scfg = replace(cfg.source, p=p)
-        data_rng = rngmod.derive(cfg.master_seed, 1, 0)
-        _, gres, dataset = gen_source_localization(scfg, data_rng)
-        return gres, dataset, scfg.n, None
-    if cfg.ratings_path is None:
-        raise ConfigError("recsys task needs ratings_path in the config")
-    ratings = load_movielens(cfg.ratings_path)
-    task = build_recsys_task(ratings, replace(cfg.recsys, p=p))
-    return task.gres, task.dataset, task.graph.n, task
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    doc = load_config(args.config, args.override)
-    cfg = parse_experiment_config(doc, args.seed, args.full)
+    doc = load_config(args.config, args.override, args.full)
+    cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite,
                      ["trace.csv", "checkpoint.json", "summary.json"])
     p = cfg.p_values[0]
-    gres, dataset, n, _ = _materialize_task(cfg, p)
-    params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, 0), n=n)
+    gres, dataset, _ = cell_task(cfg, 0, p, load_ratings(cfg))
+    params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, 0), n=gres.n)
     ckpt_every = cfg.train.checkpoint_every
     trace_path = os.path.join(args.out, "trace.csv")
     TrainTrace().to_csv(trace_path)
@@ -249,33 +223,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    doc = load_config(args.config, args.override)
-    cfg = parse_experiment_config(doc, args.seed, args.full)
+    doc = load_config(args.config, args.override, args.full)
+    cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite, ["results.csv"])
     params, _, _ = load_params(args.checkpoint)
+    ratings = load_ratings(cfg)
     rows = []
     for p in cfg.p_values:
-        gres, dataset, n, task = _materialize_task(cfg, p)
-        eval_rng = rngmod.derive(cfg.master_seed, 4, rngmod.stream_key(p))
-        if cfg.task == SOURCE_LOCALIZATION:
-            from .experiments import _evaluate_source_loc
-
-            accs = _evaluate_source_loc(params, gres, dataset, cfg.eval_draws,
-                                        eval_rng, cfg.train.realization_mode)
-            rows.append({"task": cfg.task, "mode": "eval", "p": p, "q": cfg.source.q,
-                         "graph_seed": 0, "metric": "accuracy",
-                         "mean": float(accs.mean()), "std": float(accs.std(ddof=0))})
-        else:
-            from .experiments import _evaluate_recsys
-
-            rmses, ads = _evaluate_recsys(params, task, cfg.eval_draws, eval_rng,
-                                          cfg.train.realization_mode)
-            rows.append({"task": cfg.task, "mode": "eval", "p": p, "q": p,
-                         "graph_seed": 0, "metric": "rmse",
-                         "mean": float(rmses.mean()), "std": float(rmses.std(ddof=0))})
-            rows.append({"task": cfg.task, "mode": "eval", "p": p, "q": p,
-                         "graph_seed": 0, "metric": "ad_at_10",
-                         "mean": float(ads.mean()), "std": float(ads.std(ddof=0))})
+        gres, _, evaluate = cell_task(cfg, 0, p, ratings)
+        metrics = evaluate(params, cfg.eval_draws,
+                           rngmod.derive(cfg.master_seed, 4, rngmod.stream_key(p)))
+        rows.extend(metric_rows(cfg.task, "eval", p, gres.q, 0, metrics))
     write_results(os.path.join(args.out, "results.csv"), rows)
     return EXIT_OK
 
@@ -301,7 +259,7 @@ def _default_verify_fixture(seed: int):
 
 
 def cmd_verify(args) -> int:
-    doc = load_config(args.config, args.override) if args.config else {"schema": 1}
+    doc = load_config(args.config, args.override, args.full) if args.config else {"schema": 1}
     vdoc = doc.get("verify", {})
     _check_keys(vdoc, ("bound_scale", "n_realizations", "eps_grid", "stability_trials"),
                 "verify")
@@ -361,14 +319,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    doc = load_config(args.config, args.override)
-    cfg = parse_experiment_config(doc, args.seed, args.full)
+    doc = load_config(args.config, args.override, args.full)
+    cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite, ["dataset.npz", "graph.csv", "u.data"])
     if cfg.task == SOURCE_LOCALIZATION:
-        scfg = replace(cfg.source, p=cfg.p_values[0])
-        graph, gres, dataset = gen_source_localization(
-            scfg, rngmod.derive(cfg.master_seed, 1, 0))
-        save_shift(os.path.join(args.out, "graph.csv"), gres.nominal, gres)
+        gres, dataset, _ = cell_task(cfg, 0, cfg.p_values[0])
         np.savez(os.path.join(args.out, "dataset.npz"),
                  inputs=dataset.inputs, labels=dataset.labels,
                  train=dataset.splits["train"], val=dataset.splits["val"],
@@ -377,8 +332,8 @@ def cmd_gen_data(args) -> int:
         path = os.path.join(args.out, "u.data")
         write_synthetic_movielens(path, seed=cfg.master_seed)
         ratings = load_movielens(path)
-        task = build_recsys_task(ratings, cfg.recsys)
-        save_shift(os.path.join(args.out, "graph.csv"), task.gres.nominal, task.gres)
+        gres = build_recsys_task(ratings, cfg.recsys).gres
+    save_shift(os.path.join(args.out, "graph.csv"), gres.nominal, gres)
     return EXIT_OK
 
 
@@ -388,7 +343,6 @@ FIGURE_FILES = {
     "fig2d.csv": ["c_v", "mean_c_l", "std_c_l"],
     "fig3a.csv": ["p", "mode", "rmse_mean", "rmse_std"],
     "fig3b.csv": ["p", "mode", "ad_mean", "ad_std"],
-    "fig3c.csv": ["p", "mode", "ad_mean", "ad_std"],
 }
 
 
@@ -413,7 +367,6 @@ def cmd_report(args) -> int:
             data["fig3a.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
         if r["task"] == RECSYS and r["metric"] == "ad_at_10":
             data["fig3b.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
-            data["fig3c.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
     lip_path = os.path.join(results_dir, "lipschitz.csv") if args.results else None
     if lip_path and os.path.exists(lip_path):
         acc = {}
@@ -433,8 +386,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = load_config(args.config, args.override)
-    cfg = parse_experiment_config(doc, args.seed, args.full)
+    doc = load_config(args.config, args.override, args.full)
+    cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite, ["results.csv", "summary.json"])
     run_experiment(cfg, out_dir=args.out)
     if doc.get("cv_values"):
@@ -460,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--override", action="append", default=[], metavar="K=V")
         p.add_argument("--full", action="store_true",
-                       help="use the full-scale protocol from the config")
+                       help="merge the config's full-scale section before the overrides")
         p.add_argument("--overwrite", action="store_true")
 
     p_train = sub.add_parser("train", help="run one training per the config")
@@ -484,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="aggregate results into figure CSVs")
     p_rep.add_argument("--results", default=None, help="path to results.csv")
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--override", action="append", default=[])
     p_rep.add_argument("--overwrite", action="store_true")
     p_rep.set_defaults(fn=cmd_report)
 

@@ -3,9 +3,10 @@
 Two tasks are wired up end to end: community-source localization on
 stochastic block models (synthetic diffusion signals, classification) and
 movie-rating prediction on a Pearson-correlation item graph (regression plus
-a recommendation-diversity metric).  ``run_experiment`` sweeps edge-failure
-probabilities and training modes over several graph seeds and writes
-plot-ready CSV rows.
+a recommendation-diversity metric).  ``cell_task`` builds either task at one
+edge probability, ``run_cell`` trains and evaluates one cell on it, and
+``run_experiment`` sweeps edge-failure probabilities and training modes over
+several graph seeds and writes plot-ready CSV rows.
 """
 
 from __future__ import annotations
@@ -438,18 +439,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown training mode {mode!r}")
 
 
-def _evaluate_source_loc(params, gres, dataset, draws, rng, mode_realizations):
-    """Per-draw test accuracy over fresh realization sequences."""
-    batch = dataset.full_batch("test")
-    accs = np.empty(draws)
-    for d in range(draws):
-        stack = sample_stack(gres, params.arch, 1, rng, mode_realizations)
-        logits = forward_stack(params, stack, batch.x, keep_tape=False).logits
-        pred = np.argmax(logits[0], axis=0)
-        accs[d] = metric_accuracy(pred, batch.y)
-    return accs
-
-
 def _evaluate_recsys(params, task, draws, rng, mode_realizations):
     """Per-draw test RMSE and AD@10 over fresh realization sequences."""
     batch = task.dataset.full_batch("test")
@@ -471,50 +460,78 @@ def _evaluate_recsys(params, task, draws, rng, mode_realizations):
     return rmses, ads
 
 
-def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str):
-    """Train one (graph seed, p, mode) cell and evaluate it; returns rows."""
-    scfg = replace(cfg.source, p=p)
-    data_rng = rngmod.derive(cfg.master_seed, 1, graph_seed)
-    graph, gres, dataset = gen_source_localization(scfg, data_rng)
-    init_rng = rngmod.derive(cfg.master_seed, 2, graph_seed)
-    params0 = init_params(cfg.arch, init_rng, n=scfg.n)
+def load_ratings(cfg: ExperimentConfig):
+    """The ratings matrix a recsys experiment runs on; None for other tasks."""
+    if cfg.task != RECSYS:
+        return None
+    if cfg.ratings_path is None:
+        raise ConfigError("recsys task needs ratings_path in the config")
+    return load_movielens(cfg.ratings_path)
+
+
+def cell_task(cfg: ExperimentConfig, graph_seed: int, p: float, ratings=None):
+    """(gres, dataset, evaluate) of the configured task at edge probability p.
+
+    ``evaluate(params, draws, rng)`` maps each metric name to its per-draw
+    test values over fresh realization sequences.
+    """
+    mode = cfg.train.realization_mode
+    if cfg.task == SOURCE_LOCALIZATION:
+        _, gres, dataset = gen_source_localization(
+            replace(cfg.source, p=p), rngmod.derive(cfg.master_seed, 1, graph_seed))
+
+        def evaluate(params, draws, rng):
+            batch = dataset.full_batch("test")
+            accs = np.empty(draws)
+            for d in range(draws):
+                stack = sample_stack(gres, params.arch, 1, rng, mode)
+                logits = forward_stack(params, stack, batch.x, keep_tape=False).logits
+                pred = np.argmax(logits[0], axis=0)
+                accs[d] = metric_accuracy(pred, batch.y)
+            return {"accuracy": accs}
+        return gres, dataset, evaluate
+    task = build_recsys_task(ratings, replace(cfg.recsys, p=p))
+
+    def evaluate(params, draws, rng):
+        rmses, ads = _evaluate_recsys(params, task, draws, rng, mode)
+        return {"rmse": rmses, "ad_at_10": ads}
+    return task.gres, task.dataset, evaluate
+
+
+def metric_rows(task: str, mode: str, p: float, q: float, graph_seed: int, metrics) -> list:
+    """One ``results.csv`` row per metric: the mean and std of its values."""
+    return [{"task": task, "mode": mode, "p": p, "q": q, "graph_seed": graph_seed,
+             "metric": name, "mean": float(values.mean()), "std": float(values.std(ddof=0))}
+            for name, values in metrics.items()]
+
+
+def run_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str, ratings=None):
+    """Train one (graph seed, p, mode) cell and evaluate it.
+
+    Returns (rows, trace, params, gamma).  Evaluation takes one draw when no
+    edge is random.  Source-localization cells add the mean cost over the
+    last ``cost_window`` iterations as a row.
+    """
+    gres, dataset, evaluate = cell_task(cfg, graph_seed, p, ratings)
+    params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, graph_seed), n=gres.n)
     key = rngmod.stream_key(p)
     params, gamma, trace = train(params0, gres, dataset, replace(cfg.train, mode=mode),
                                  rngmod.derive(cfg.master_seed, 3, graph_seed, key))
-    eval_rng = rngmod.derive(cfg.master_seed, 4, graph_seed, key)
-    accs = _evaluate_source_loc(params, gres, dataset, cfg.eval_draws, eval_rng,
-                                cfg.train.realization_mode)
-    window = trace.column("mean_cost")[-cfg.cost_window:]
-    rows = [
-        {"task": SOURCE_LOCALIZATION, "mode": mode, "p": p, "q": scfg.q,
-         "graph_seed": graph_seed, "metric": "accuracy",
-         "mean": float(accs.mean()), "std": float(accs.std(ddof=0))},
-        {"task": SOURCE_LOCALIZATION, "mode": mode, "p": p, "q": scfg.q,
-         "graph_seed": graph_seed, "metric": "cost",
-         "mean": float(window.mean()), "std": float(window.std(ddof=0))},
-    ]
-    return rows, trace, params, gamma
+    metrics = evaluate(params, cfg.eval_draws if p > 0 else 1,
+                       rngmod.derive(cfg.master_seed, 4, graph_seed, key))
+    if cfg.task == SOURCE_LOCALIZATION:
+        metrics["cost"] = trace.column("mean_cost")[-cfg.cost_window:]
+    return metric_rows(cfg.task, mode, p, gres.q, graph_seed, metrics), trace, params, gamma
+
+
+def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str):
+    """Train one source-localization cell and evaluate it; see ``run_cell``."""
+    return run_cell(cfg, graph_seed, p, mode)
 
 
 def run_recsys_cell(cfg: ExperimentConfig, ratings: np.ndarray, p: float, mode: str):
-    rcfg = replace(cfg.recsys, p=p)
-    task = build_recsys_task(ratings, rcfg)
-    init_rng = rngmod.derive(cfg.master_seed, 2, 0)
-    params0 = init_params(cfg.arch, init_rng, n=task.graph.n)
-    key = rngmod.stream_key(p)
-    params, gamma, trace = train(params0, task.gres, task.dataset,
-                                 replace(cfg.train, mode=mode),
-                                 rngmod.derive(cfg.master_seed, 3, 0, key))
-    eval_rng = rngmod.derive(cfg.master_seed, 4, 0, key)
-    draws = cfg.eval_draws if p > 0 else 1
-    rmses, ads = _evaluate_recsys(params, task, draws, eval_rng, cfg.train.realization_mode)
-    rows = [
-        {"task": RECSYS, "mode": mode, "p": p, "q": p, "graph_seed": 0,
-         "metric": "rmse", "mean": float(rmses.mean()), "std": float(rmses.std(ddof=0))},
-        {"task": RECSYS, "mode": mode, "p": p, "q": p, "graph_seed": 0,
-         "metric": "ad_at_10", "mean": float(ads.mean()), "std": float(ads.std(ddof=0))},
-    ]
-    return rows, trace, params, gamma
+    """Train one recommender cell on ``ratings`` and evaluate it; see ``run_cell``."""
+    return run_cell(cfg, 0, p, mode, ratings)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
@@ -522,27 +539,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     ``results.csv`` gets one row per cell and metric; traces land next to it
     as ``trace_<task>_<mode>_p<p>_s<seed>.csv``; ``summary.json`` aggregates
-    per (mode, p) across seeds.
+    per (mode, p) across seeds.  Recommender sweeps have the one graph seed 0.
     """
-    if cfg.task == SOURCE_LOCALIZATION:
-        seeds = cfg.graph_seeds
-
-        def run_cell(seed, p, mode):
-            return run_source_cell(cfg, seed, p, mode)
-    else:
-        if cfg.ratings_path is None:
-            raise ConfigError("recsys experiment needs ratings_path")
-        ratings = load_movielens(cfg.ratings_path)
-        seeds = (0,)
-
-        def run_cell(seed, p, mode):
-            return run_recsys_cell(cfg, ratings, p, mode)
-
+    ratings = load_ratings(cfg)
+    seeds = cfg.graph_seeds if cfg.task == SOURCE_LOCALIZATION else (0,)
     cells = [(seed, p, mode) for seed in seeds for p in cfg.p_values for mode in cfg.modes]
     rows = []
     traces = {}
     for (seed, p, mode), (cell_rows, trace, _, _) in zip(
-            cells, parallel_map(lambda cell: run_cell(*cell), cells)):
+            cells, parallel_map(lambda cell: run_cell(cfg, *cell, ratings), cells)):
         rows.extend(cell_rows)
         traces[f"trace_{cfg.task}_{mode}_p{p}_s{seed}.csv"] = trace
     rows.sort(key=lambda r: (r["task"], r["mode"], r["p"], r["graph_seed"], r["metric"]))

@@ -30,6 +30,9 @@ MODES = (PRIMAL_DUAL, UNCONSTRAINED, REGULARIZED)
 
 SGD = "sgd"
 ADAM = "adam"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +158,6 @@ class TrainConfig:
     max_iters: int = 100
     batch_size: int = 32
     optimizer: str = ADAM
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     grad_norm_tol: float = 1e-6
     mode: str = PRIMAL_DUAL
     reg_beta: float = 0.0
@@ -240,7 +240,6 @@ class _Sgd:
 class _Adam:
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.eta_primal
-        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.eps_adam
         self.t = 0
         self.m = None
         self.v = None
@@ -252,14 +251,14 @@ class _Adam:
             self.v = [np.zeros_like(g) for g in garrs]
         self.t += 1
         out = []
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for i, (p, g) in enumerate(zip(params.arrays(), garrs)):
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
             mhat = self.m[i] / c1
             vhat = self.v[i] / c2
-            out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+            out.append(p - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
         return params.replace_arrays(out)
 
 
@@ -373,26 +372,28 @@ def train(init_params: SgnnParams, gres: GresModel, dataset, cfg: TrainConfig,
     optimizer = make_optimizer(cfg)
     trace = TrainTrace()
     value = grad_norm = float("nan")
-    for t in range(cfg.max_iters):
-        try:
-            for _ in range(cfg.gamma_steps):
-                batch = dataset.sample_batch(rng, cfg.batch_size, "train")
-                value, grads = lagrangian(params, gamma, gres, batch, cfg, rng)
-                grad_norm = float(np.linalg.norm(grads.flatten()))
-                params = optimizer.step(params, grads)
-            cost, m1, m2, variance = _dual_phase_metrics(params, gres, dataset, cfg, rng)
-        except NumericalError as exc:
-            raise TrainingDiverged(f"training diverged at iteration {t}: {exc}", trace) from exc
-        if update_dual:
-            gamma = dual_step(gamma, (m1, m2), cfg)
-        trace.append(iter=t, mean_cost=cost, first_moment=m1, second_moment=m2,
-                     variance=variance, gamma1=gamma.gamma1, gamma2=gamma.gamma2,
-                     lagrangian=value, grad_norm=grad_norm,
-                     slack1=m1 - cfg.c_f, slack2=cfg.c_s - m2)
-        if callback is not None:
-            callback(t, params, gamma, trace)
-        if not math.isfinite(cost) or cost > cfg.divergence_limit:
-            raise TrainingDiverged(f"training diverged at iteration {t} (cost={cost})", trace)
-        if grad_norm < cfg.grad_norm_tol:
-            break
+    # every non-finite value below ends in TrainingDiverged; NumPy's warnings only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.max_iters):
+            try:
+                for _ in range(cfg.gamma_steps):
+                    batch = dataset.sample_batch(rng, cfg.batch_size, "train")
+                    value, grads = lagrangian(params, gamma, gres, batch, cfg, rng)
+                    grad_norm = float(np.linalg.norm(grads.flatten()))
+                    params = optimizer.step(params, grads)
+                cost, m1, m2, variance = _dual_phase_metrics(params, gres, dataset, cfg, rng)
+            except NumericalError as exc:
+                raise TrainingDiverged(f"training diverged at iteration {t}: {exc}", trace) from exc
+            if update_dual:
+                gamma = dual_step(gamma, (m1, m2), cfg)
+            trace.append(iter=t, mean_cost=cost, first_moment=m1, second_moment=m2,
+                         variance=variance, gamma1=gamma.gamma1, gamma2=gamma.gamma2,
+                         lagrangian=value, grad_norm=grad_norm,
+                         slack1=m1 - cfg.c_f, slack2=cfg.c_s - m2)
+            if callback is not None:
+                callback(t, params, gamma, trace)
+            if not math.isfinite(cost) or cost > cfg.divergence_limit:
+                raise TrainingDiverged(f"training diverged at iteration {t} (cost={cost})", trace)
+            if grad_norm < cfg.grad_norm_tol:
+                break
     return params, gamma, trace

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sgnn import cli
+from sgnn.experiments import write_synthetic_movielens
 from sgnn.training import TrainTrace
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def write_config(path, doc):
@@ -45,17 +48,28 @@ class TestTrainCommand:
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
 
-    def test_signal_gain_is_not_an_option(self, tmp_path):
-        cfg = write_config(tmp_path / "bad.json",
-                           {"schema": 1, "source": {"signal_gain": 2.0}})
-        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("key", ["source.signal_gain", "train.constraint_target",
+                                     "train.beta1", "train.beta2", "train.eps_adam"])
+    def test_removed_option_is_rejected(self, tiny_config, tmp_path, key):
+        rc = cli.main(["train", "--config", tiny_config, "--out", str(tmp_path / "out"),
+                       "--override", f"{key}=1"])
         assert rc == cli.EXIT_CONFIG
 
-    def test_constraint_target_is_not_an_option(self, tmp_path):
-        cfg = write_config(tmp_path / "bad.json",
-                           {"schema": 1, "train": {"constraint_target": "surrogate"}})
-        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("full", [{"source": {"bogus": 1}}, {"bogus": 1}],
+                             ids=["full.source.bogus", "full.bogus"])
+    @pytest.mark.parametrize("flags", [[], ["--full"]], ids=["desk", "full"])
+    def test_unknown_key_under_full_rejected(self, tiny_config, tmp_path, full, flags):
+        with open(tiny_config) as f:
+            doc = json.load(f)
+        cfg = write_config(tmp_path / "bad.json", dict(doc, full=full))
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")] + flags)
         assert rc == cli.EXIT_CONFIG
+
+    def test_override_wins_over_full(self):
+        doc = cli.load_config(os.path.join(CONFIGS, "source_localization.json"),
+                              ["train.max_iters=5"], full=True)
+        cfg = cli.parse_experiment_config(doc, 0)
+        assert cfg.train.max_iters == 5 and cfg.train.eta_primal == 0.001
 
     def test_trace_is_written_as_train_trace_writes_it(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -64,6 +78,7 @@ class TestTrainCommand:
         TrainTrace.from_csv(out / "trace.csv").to_csv(again)
         assert (out / "trace.csv").read_bytes() == again.read_bytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_training_exits_three_keeping_streamed_rows(self, tiny_config,
                                                                    tmp_path, capsys):
         out = tmp_path / "out"
@@ -123,7 +138,7 @@ class TestTrainCommand:
             "source": {"n": 20, "communities": 5, "split_sizes": [20, 4, 4]},
             "full": {"train": {"max_iters": 7},
                      "architecture": {"features": [1, 3, 1], "order": 3, "readout": 5},
-                     "graph_seeds": [0, 1, 2, 3]},
+                     "sweep": {"graph_seeds": [0, 1, 2, 3]}},
         }
         cfg_path = write_config(tmp_path / "c.json", doc)
         desk = cli.parse_experiment_config(cli.load_config(cfg_path), seed=0, full=False)
@@ -132,6 +147,20 @@ class TestTrainCommand:
         assert full.train.max_iters == 7
         assert full.arch.features == (1, 3, 1)
         assert full.graph_seeds == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("name, full, expected", [
+        ("source_localization", False, ((1, 4, 1), 4, 2000, 0.01, (0, 1, 2), 0.3, None)),
+        ("source_localization", True, ((1, 32, 1), 8, 10000, 0.001, tuple(range(10)), 1.0,
+                                       None)),
+        ("recsys", False, ((1, 8, 1), 4, 600, 0.01, (0,), 1.0, 4000)),
+        ("recsys", True, ((1, 32, 1), 4, 10000, 0.001, (0,), 1.0, None)),
+    ])
+    def test_committed_configs_parse(self, name, full, expected):
+        cfg = cli.parse_experiment_config(
+            cli.load_config(os.path.join(CONFIGS, f"{name}.json")), 0, full)
+        assert (cfg.arch.features, cfg.arch.order, cfg.train.max_iters, cfg.train.eta_primal,
+                cfg.graph_seeds, cfg.source.desk_scale_factor,
+                cfg.recsys.max_samples) == expected
 
     def test_periodic_checkpoints(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -217,6 +246,38 @@ class TestGenDataAndEval:
         assert rows[0] == "task,mode,p,q,graph_seed,metric,mean,std"
         acc = float(rows[1].split(",")[6])
         assert abs(acc - 0.2) < 0.35
+
+
+@pytest.fixture(scope="module")
+def recsys_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("recsys")
+    write_synthetic_movielens(root / "u.data", seed=3)
+    return write_config(root / "config.json", {
+        "schema": 1, "task": "recsys", "ratings_path": str(root / "u.data"),
+        "architecture": {"features": [1, 2, 1], "order": 2, "activation": "leaky_relu"},
+        "train": {"max_iters": 2, "n_realizations": 2, "batch_size": 8,
+                  "loss": "masked_mse", "grad_norm_tol": 0.0},
+        "recsys": {"max_samples": 200},
+        "sweep": {"p_values": [0.0, 0.1], "modes": ["unconstrained"]},
+        "eval_draws": 3,
+    })
+
+
+def test_recsys_train_and_eval_replay(recsys_config, tmp_path):
+    outs = []
+    for name in ("a", "b"):
+        train_out, eval_out = tmp_path / name / "t", tmp_path / name / "e"
+        assert cli.main(["train", "--config", recsys_config, "--out", str(train_out),
+                         "--seed", "4"]) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", recsys_config, "--out", str(eval_out),
+                         "--seed", "4", "--checkpoint",
+                         str(train_out / "checkpoint.json")]) == cli.EXIT_OK
+        outs.append({f: (d / f).read_bytes() for d in (train_out, eval_out)
+                     for f in sorted(os.listdir(d))})
+    assert outs[0] == outs[1]
+    rows = outs[0]["results.csv"].decode().strip().splitlines()[1:]
+    cells = sorted((r.split(",")[2], r.split(",")[5]) for r in rows)
+    assert cells == [("0.0", "ad_at_10"), ("0.0", "rmse"), ("0.1", "ad_at_10"), ("0.1", "rmse")]
 
 
 class TestReportCommand:

@@ -361,6 +361,7 @@ class TestTrainingLoops:
             T.train(params, gres, ds, cfg, 25)
         assert err.value.trace is not None and len(err.value.trace) >= 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_forward_pass_aborts_with_trace(self):
         gres, params, ds = self.make_setup(readout=False)
         # the first step leaves finite taps; the second iteration's forward overflows
