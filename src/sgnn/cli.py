@@ -31,7 +31,6 @@ from .experiments import (
     ExperimentConfig,
     RecsysConfig,
     SourceLocConfig,
-    build_recsys_task,
     cell_task,
     load_movielens,
     load_ratings,
@@ -322,17 +321,17 @@ def cmd_gen_data(args) -> int:
     doc = load_config(args.config, args.override, args.full)
     cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite, ["dataset.npz", "graph.csv", "u.data"])
+    ratings = None
+    if cfg.task == RECSYS:
+        path = os.path.join(args.out, "u.data")
+        write_synthetic_movielens(path, seed=cfg.master_seed)
+        ratings = load_movielens(path)
+    gres, dataset, _ = cell_task(cfg, 0, cfg.p_values[0], ratings)
     if cfg.task == SOURCE_LOCALIZATION:
-        gres, dataset, _ = cell_task(cfg, 0, cfg.p_values[0])
         np.savez(os.path.join(args.out, "dataset.npz"),
                  inputs=dataset.inputs, labels=dataset.labels,
                  train=dataset.splits["train"], val=dataset.splits["val"],
                  test=dataset.splits["test"])
-    else:
-        path = os.path.join(args.out, "u.data")
-        write_synthetic_movielens(path, seed=cfg.master_seed)
-        ratings = load_movielens(path)
-        gres = build_recsys_task(ratings, cfg.recsys).gres
     save_shift(os.path.join(args.out, "graph.csv"), gres.nominal, gres)
     return EXIT_OK
 

@@ -398,12 +398,18 @@ def metric_ad_at_k(recommendation_lists, k: int = 10) -> int:
     return len(seen)
 
 
-def top_k_items(pred_ratings: np.ndarray, already_rated: np.ndarray, k: int = 10) -> np.ndarray:
-    """Highest-predicted unrated items, deterministic tie-break by item id."""
-    scores = np.where(already_rated, -np.inf, pred_ratings)
-    order = np.lexsort((np.arange(scores.size), -scores))
-    order = order[np.isfinite(scores[order])]
-    return order[:k]
+def top_k_items(pred_ratings: np.ndarray, already_rated: np.ndarray, k: int = 10):
+    """Up to k highest-predicted unrated items, best first, ties broken by item id.
+
+    Items run along the last axis.  A 1-D input gives one index array; a 2-D
+    input (users, items) gives one per user, all ranked by one lexsort.
+    """
+    scores = np.atleast_2d(np.where(already_rated, -np.inf, pred_ratings))
+    finite = np.isfinite(scores)
+    ids = np.broadcast_to(np.arange(scores.shape[-1]), scores.shape)
+    order = np.lexsort((ids, -scores, ~finite), axis=-1)[:, :k]
+    lists = [row[:count] for row, count in zip(order, np.minimum(finite.sum(axis=-1), k))]
+    return lists if np.ndim(pred_ratings) > 1 else lists[0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +461,7 @@ def _evaluate_recsys(params, task, draws, rng, mode_realizations):
         rmses[d] = metric_rmse(pred, batch.y, batch.mask)
         stack = sample_stack(task.gres, params.arch, 1, rng, mode_realizations)
         pred_u = forward_stack(params, stack, user_inputs, keep_tape=False).output[0, 0]
-        lists = [top_k_items(pred_u[:, u], rated[u]) for u in range(users.size)]
-        ads[d] = metric_ad_at_k(lists, 10)
+        ads[d] = metric_ad_at_k(top_k_items(pred_u.T, rated), 10)
     return rmses, ads
 
 
@@ -620,22 +625,25 @@ def run_cv_sweep(cfg: ExperimentConfig, c_v_values=(0.1, 0.3, 0.5, 0.7),
     targets, so the moment budget has to reach the filter taps instead of
     being absorbed by a free output rescaling.
     """
-    rows = []
+    arch = replace(cfg.arch, readout=None)
+    tasks = {}
     for seed in cfg.graph_seeds:
-        scfg = cfg.source
-        data_rng = rngmod.derive(cfg.master_seed, 1, seed)
-        graph, gres, dataset = gen_source_denoising(scfg, data_rng)
-        arch = replace(cfg.arch, readout=None)
-        params0 = init_params(arch, rngmod.derive(cfg.master_seed, 2, seed), n=scfg.n)
-        for c_v in c_v_values:
-            tc = replace(cfg.train, mode=PRIMAL_DUAL, c_f=0.0, c_s=float(c_v),
-                         loss="masked_mse")
-            key = rngmod.stream_key(c_v)
-            rng = rngmod.derive(cfg.master_seed, 5, seed, key)
-            params, _, _ = train(params0, gres, dataset, tc, rng)
-            lip_rng = rngmod.derive(cfg.master_seed, 6, seed, key)
-            c_l = model_lipschitz(params, 1.0, lipschitz_samples, lip_rng, reduce="mean")
-            rows.append({"c_v": float(c_v), "graph_seed": seed, "c_l": float(c_l)})
+        _, gres, dataset = gen_source_denoising(cfg.source, rngmod.derive(cfg.master_seed, 1, seed))
+        params0 = init_params(arch, rngmod.derive(cfg.master_seed, 2, seed), n=cfg.source.n)
+        tasks[seed] = (gres, dataset, params0)
+
+    def run(cell):
+        seed, c_v = cell
+        gres, dataset, params0 = tasks[seed]
+        tc = replace(cfg.train, mode=PRIMAL_DUAL, c_f=0.0, c_s=float(c_v), loss="masked_mse")
+        key = rngmod.stream_key(c_v)
+        rng = rngmod.derive(cfg.master_seed, 5, seed, key)
+        params, _, _ = train(params0, gres, dataset, tc, rng)
+        lip_rng = rngmod.derive(cfg.master_seed, 6, seed, key)
+        c_l = model_lipschitz(params, 1.0, lipschitz_samples, lip_rng, reduce="mean")
+        return {"c_v": float(c_v), "graph_seed": seed, "c_l": float(c_l)}
+
+    rows = parallel_map(run, [(seed, c_v) for seed in cfg.graph_seeds for c_v in c_v_values])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "lipschitz.csv"), "w", newline="") as f:

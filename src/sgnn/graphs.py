@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -252,6 +253,15 @@ class GresModel:
         """A dict of this model's reused buffers, private to the calling thread."""
         return self._sampler.local.__dict__.setdefault(name, {})
 
+    @contextmanager
+    def scoped_thread_caches(self):
+        """Scopes to the block every reused buffer of this model private to the
+        calling thread: they are dropped when it ends."""
+        try:
+            yield
+        finally:
+            self._sampler.local.__dict__.clear()
+
     def materialize(self, bits: np.ndarray) -> np.ndarray:
         """Dense shifts for ``bits``, in a workspace the next call on this thread
         for as many shifts overwrites."""
@@ -302,7 +312,8 @@ class _Sampler:
         n = len(self.base)
         flat = buf.reshape(-1)
         flat[dirty] = self.base.reshape(-1)[dirty % (n * n)]
-        r, e = np.nonzero(bits != self.nominal_bits)
+        # flat indices: a 2-D nonzero costs about four times as much
+        r, e = np.divmod(np.flatnonzero(bits != self.nominal_bits), bits.shape[1])
         ii, jj = r * n + self.ii[e], r * n + self.jj[e]     # rows of buf.reshape(-1, n)
         upper, lower = ii * n + self.jj[e], jj * n + self.ii[e]
         flat[upper] = flat[lower] = self.flipped[e]

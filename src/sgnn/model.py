@@ -5,9 +5,9 @@ A filter of order K applied over a chain of sampled shifts S_1..S_K is
     y = h_0 x + h_1 S_1 x + h_2 S_2 S_1 x + ... + h_K S_K ... S_1 x
 
 and a network layer passes a bank of such filters through a pointwise
-nonlinearity.  Forward passes record a tape; ``backward_stack`` replays it to
-produce exact reverse-mode gradients for every tap and the optional linear
-readout.  All heavy code paths are vectorized over a leading realization
+nonlinearity.  Forward passes record a tape; ``backward_stack`` replays it
+once to produce exact reverse-mode gradients for every tap and the optional
+linear readout.  All heavy code paths are vectorized over a leading realization
 axis so Monte-Carlo loops become batched matrix products.
 """
 
@@ -89,18 +89,19 @@ class Architecture:
 
 
 def _activation_fns(arch: Architecture):
-    """The pointwise nonlinearity, applied in place, and its derivative."""
+    """The pointwise nonlinearity, applied in place, and its derivative, written into ``out``."""
     s = arch.leaky_slope
     if arch.activation == RELU:
-        return (lambda u: np.maximum(u, 0.0, out=u), lambda u: (u > 0).astype(float))
+        return (lambda u: np.maximum(u, 0.0, out=u), lambda u, out: np.greater(u, 0.0, out=out))
     if arch.activation == LEAKY_RELU:
-        return (
-            lambda u: np.multiply(u, s, out=u, where=u <= 0),
-            lambda u: np.where(u > 0, 1.0, s),
-        )
+        def leaky_deriv(u, out):
+            np.copyto(out, s)
+            np.copyto(out, 1.0, where=u > 0)
+            return out
+        return (lambda u: np.multiply(u, s, out=u, where=u <= 0), leaky_deriv)
     if arch.activation == ABS:
-        return (lambda u: np.abs(u, out=u), np.sign)
-    return (lambda u: u, lambda u: np.ones_like(u))
+        return (lambda u: np.abs(u, out=u), lambda u, out: np.sign(u, out=out))
+    return (lambda u: u, lambda u, out: np.positive(1.0, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +264,11 @@ class Realizations:
 
 @dataclass
 class ForwardTape:
-    """Replayable record of one (stacked) forward pass; an output-only pass
-    leaves every field but ``output`` and ``logits`` None."""
+    """Replayable record of one (stacked) forward pass.
+
+    An output-only pass leaves every field but ``output`` and ``logits`` None,
+    and so does ``backward_stack`` once it has consumed the tape.
+    """
 
     params: SgnnParams
     stack: Realizations
@@ -273,6 +277,7 @@ class ForwardTape:
     preacts: list         # per layer: (N, F_out, n, B)
     output: np.ndarray    # (N, F_L, n, B) activations of the last layer
     logits: np.ndarray | None
+    loans: tuple | None = field(default=None, repr=False)   # (signature, borrowed buffers)
     _token: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -289,7 +294,11 @@ SCRATCH_BUFFERS = 32
 
 def _reused(pool, key, compute):
     """``compute(out)`` into ``pool[key]``.  The first call keeps compute(None): the
-    buffer has the layout NumPy picks, so later calls sum to the same bits."""
+    buffer has the layout NumPy picks, so later calls sum to the same bits.
+
+    The next call with the same key on this thread overwrites the buffer, so
+    it serves as a temporary within one pass.  ``pool`` None allocates afresh.
+    """
     if pool is None:
         return compute(None)
     if key in pool:
@@ -300,15 +309,34 @@ def _reused(pool, key, compute):
     return pool[key]
 
 
+def _lend(spare, loans, compute):
+    """``compute(out)`` into the next spare buffer, or a new one, and onto ``loans``.
+    The spares come from a pass of the same signature, so each has the layout
+    a new buffer would get."""
+    out = compute(next(spare, None))
+    loans.append(out)
+    return out
+
+
 def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
                   keep_tape: bool = True) -> ForwardTape:
     """Run the network over N stacked realizations at once.
 
     ``x`` has shape (F_0, n, B); the same batch rides along every
-    realization.  With ``keep_tape`` False nothing is kept for a backward
-    pass: hops go into this thread's reused buffers, and only copies of the
-    output and logits are returned, bit-identical to the taped pass.  Raises
-    NumericalError naming the layer if an intermediate stops being finite.
+    realization.  Raises NumericalError naming the layer if an intermediate
+    stops being finite.  ``output`` and ``logits`` are always new arrays the
+    caller owns, bit-identical with and without ``keep_tape``.
+
+    Mask realizations keep the other arrays in buffers of this thread and
+    ``stack.gres``; explicit matrices (``gres`` None) allocate them afresh.
+    A taped pass borrows its tape (hops, pre-activations, inputs of layers
+    >= 1) from the thread's one spare set, the buffers the last
+    ``backward_stack`` on this thread gave back, if that pass had the same
+    mode, realization count and input and tap layouts; otherwise it
+    allocates.  The tape keeps them until ``backward_stack`` consumes it, so
+    a pending tape is never overwritten.
+    Without a tape the hops, like every pass's temporaries, go into the
+    thread's reused buffers.  ``train`` drops all of them when it returns.
     """
     arch = params.arch
     act, _ = _activation_fns(arch)
@@ -317,7 +345,16 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
     per_filter = stack.mode == PER_FILTER
     spec = "fg,nfgib->nfib" if per_filter else "fg,ngib->nfib"
-    pool = None if keep_tape or stack.gres is None else stack.gres.thread_cache("hops")
+    gres = stack.gres
+    pool = None if gres is None else gres.thread_cache("hops")
+    if keep_tape:
+        signature = (stack.mode, count, x.shape, x.strides) + tuple(
+            (t.shape, t.strides) for t in params.taps)
+        spare = iter(() if gres is None else gres.thread_cache("tapes").pop(signature, ()))
+        loans = []
+        hold = lambda key, compute: _lend(spare, loans, compute)   # noqa: E731
+    else:
+        hold = lambda key, compute: _reused(pool, key, compute)    # noqa: E731
     cur = np.broadcast_to(x, (count,) + x.shape)
     layer_inputs, shifted, preacts = [], [], []
     for l in range(arch.layers):
@@ -326,12 +363,12 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         key = (stack.mode, l, taps.shape, taps.strides, cur.shape, cur.strides)
         z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:]) \
             if per_filter else cur
-        u = _reused(pool, ("u",) + key,
-                    lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
+        u = hold(("u",) + key,
+                 lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
         zs = []
         for k in range(arch.order):
             hop = s[:, :, :, k] if per_filter else s[:, None, k]
-            z = _reused(pool, ("z", k % 2) + key, lambda out: np.matmul(hop, z, out=out))
+            z = hold(("z", k % 2) + key, lambda out: np.matmul(hop, z, out=out))
             zs.append(z)
             u += _reused(pool, ("term",) + key,
                          lambda out: np.einsum(spec, taps[:, :, k + 1], z, out=out))
@@ -341,7 +378,9 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
             layer_inputs.append(cur)
             shifted.append(zs)
             preacts.append(u)
-            u = u.copy(order="K")
+            # the activation goes into a copy in u's layout; the last one is the output
+            u = u.copy(order="K") if l + 1 == arch.layers else \
+                hold(None, lambda out: np.positive(u, out=out))
         cur = act(u)
     logits = None
     if params.readout_w is not None:
@@ -351,7 +390,8 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
             raise NumericalError("non-finite readout logits")
     if not keep_tape:
         return ForwardTape(params, None, None, None, None, cur.copy(order="K"), logits)
-    return ForwardTape(params, stack, layer_inputs, shifted, preacts, cur, logits)
+    return ForwardTape(params, stack, layer_inputs, shifted, preacts, cur, logits,
+                       (signature, loans))
 
 
 def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
@@ -362,14 +402,22 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     (N, F_L, n, B); ``d_logits`` w.r.t. the readout logits.  Gradients are
     summed over realizations and batch, so any averaging lives in the
     upstream.  Returns SgnnParams-shaped gradients.
+
+    The pass consumes the tape: its buffers replace the thread's spare set
+    for the next taped pass of the same signature (see ``forward_stack``),
+    its ``output`` and ``logits`` stay readable, and a second backward pass
+    on it raises ConfigError.  The temporaries (the
+    upstream gradient per layer, the accumulated hop gradients and their
+    matmul outputs) go into the thread's reused buffers.
     """
     params, stack = tape.params, tape.stack
     if tape.preacts is None:
-        raise ConfigError("the forward pass kept no tape")
+        raise ConfigError("no tape: the forward pass kept none or a backward pass consumed it")
     if _params_token(params) != tape._token:
         raise NumericalError("stale tape: parameters changed since the forward pass")
     arch = params.arch
     _, act_deriv = _activation_fns(arch)
+    pool = None if stack.gres is None else stack.gres.thread_cache("scratch")
     grads = [np.zeros_like(t) for t in params.taps]
     gw = gb = None
     d_cur = None
@@ -379,43 +427,61 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
         flat = tape.output.reshape(stack.count, -1, tape.output.shape[-1])
         gw = np.einsum("ncb,nmb->cm", d_logits, flat)
         gb = np.einsum("ncb->c", d_logits)
-        d_cur = np.matmul(params.readout_w.T, d_logits).reshape(tape.output.shape)
+        d_cur = _reused(pool, ("d_logits", d_logits.shape, d_logits.strides),
+                        lambda out: np.matmul(params.readout_w.T, d_logits, out=out))
+        d_cur = d_cur.reshape(tape.output.shape)
     if d_output is not None:
-        d_cur = d_output if d_cur is None else d_cur + d_output
+        d_cur = d_output if d_cur is None else _reused(
+            pool, ("d_sum", d_cur.shape, d_cur.strides, d_output.shape, d_output.strides),
+            lambda out: np.add(d_cur, d_output, out=out))
     if d_cur is None:
         raise ConfigError("no upstream gradient given")
     elif params.readout_w is not None and gw is None:
         gw = np.zeros_like(params.readout_w)
         gb = np.zeros_like(params.readout_b)
 
+    k_order = arch.order
+    per_filter = stack.mode == PER_FILTER
+    spec = "nfib,nfgib->fg" if per_filter else "nfib,ngib->fg"
     for l in reversed(range(arch.layers)):
         taps = params.taps[l]
-        k_order = arch.order
-        x_in = tape.layer_inputs[l]
-        zs = tape.shifted[l]
-        du = d_cur * act_deriv(tape.preacts[l])
+        u, zs = tape.preacts[l], tape.shifted[l]
+        key = (stack.mode, l, taps.shape, taps.strides, u.shape, u.strides,
+               d_cur.shape, d_cur.strides)
+        # A new buffer comes from the expression a fresh result would: NumPy may
+        # evaluate `temporary * x` or `temporary + x` in place in a large
+        # temporary, and the buffer must get the layout that gives.
+        du = _reused(pool, ("du",) + key, lambda out: d_cur * act_deriv(u, np.empty_like(u))
+                     if out is None else np.multiply(d_cur, act_deriv(u, out), out=out))
         g = grads[l]
-        g[:, :, 0] = np.einsum("nfib,ngib->fg", du, x_in)
-        per_filter = stack.mode == PER_FILTER
-        spec = "nfib,nfgib->fg" if per_filter else "nfib,ngib->fg"
+        g[:, :, 0] = np.einsum("nfib,ngib->fg", du, tape.layer_inputs[l])
         for k in range(k_order):
             g[:, :, k + 1] = np.einsum(spec, du, zs[k])
         if l == 0:
             break
         s = stack.dense(l)
-        if per_filter:
-            acc = taps[:, :, k_order, None, None] * du[:, :, None]
-            for k in range(k_order - 1, -1, -1):
-                st = np.swapaxes(s[:, :, :, k], -1, -2)
-                acc = taps[:, :, k, None, None] * du[:, :, None] + np.matmul(st, acc)
-            d_cur = acc.sum(axis=1)
-        else:
-            acc = np.einsum("fg,nfib->ngib", taps[:, :, k_order], du)
-            for k in range(k_order - 1, -1, -1):
-                st = np.swapaxes(s[:, None, k], -1, -2)
-                acc = np.einsum("fg,nfib->ngib", taps[:, :, k], du) + np.matmul(st, acc)
-            d_cur = acc
 
+        def tap_term(k):      # hop k's tap times du, summed over f in shared mode
+            if per_filter:
+                return lambda out: np.multiply(taps[:, :, k, None, None], du[:, :, None], out=out)
+            return lambda out: np.einsum("fg,nfib->ngib", taps[:, :, k], du, out=out)
+
+        acc = _reused(pool, ("tap",) + key, tap_term(k_order))
+        for k in range(k_order - 1, -1, -1):
+            st = np.swapaxes(s[:, :, :, k] if per_filter else s[:, None, k], -1, -2)
+            mm = _reused(pool, ("mm", acc.strides) + key, lambda out: np.matmul(st, acc, out=out))
+            # acc was read, so its buffer may take the next one
+            acc = _reused(pool, ("acc", mm.strides) + key, lambda out: tap_term(k)(None) + mm
+                          if out is None else np.add(tap_term(k)(out), mm, out=out))
+        d_cur = acc if not per_filter else _reused(
+            pool, ("d_cur", acc.strides) + key, lambda out: np.sum(acc, axis=1, out=out))
+
+    if stack.gres is not None:
+        spares = stack.gres.thread_cache("tapes")    # one spare set per thread
+        signature, buffers = tape.loans
+        spares.clear()
+        spares[signature] = buffers
+    tape.layer_inputs = tape.shifted = tape.preacts = tape.loans = None
     if params.readout_w is not None:
         return SgnnParams(arch, grads, gw, gb)
     return SgnnParams(arch, grads)

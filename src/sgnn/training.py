@@ -372,8 +372,9 @@ def train(init_params: SgnnParams, gres: GresModel, dataset, cfg: TrainConfig,
     optimizer = make_optimizer(cfg)
     trace = TrainTrace()
     value = grad_norm = float("nan")
-    # every non-finite value below ends in TrainingDiverged; NumPy's warnings only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # every non-finite value below ends in TrainingDiverged; NumPy's warnings only repeat it.
+    # The model's per-thread buffers go when training ends, so evaluation starts without them.
+    with np.errstate(over="ignore", invalid="ignore"), gres.scoped_thread_caches():
         for t in range(cfg.max_iters):
             try:
                 for _ in range(cfg.gamma_steps):

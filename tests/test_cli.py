@@ -232,6 +232,17 @@ class TestGenDataAndEval:
         assert (out / "u.data").exists()
         assert sum(1 for _ in open(out / "u.data")) == 100000
 
+    def test_gen_data_recsys_graph_uses_the_first_sweep_p(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "schema": 1, "task": "recsys",
+            "recsys": {"keep_top": 10, "add_next": 5, "p": 0.1},
+            "sweep": {"p_values": [0.05, 0.1]},
+        })
+        out = tmp_path / "d"
+        assert cli.main(["gen-data", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        meta = json.loads((out / "graph.csv.json").read_text())
+        assert (meta["gres"]["p"], meta["gres"]["q"]) == (0.05, 0.05)
+
     def test_eval_untrained_near_chance(self, tiny_config, tmp_path):
         train_out = tmp_path / "t"
         assert cli.main(["train", "--config", tiny_config, "--out", str(train_out),

@@ -241,6 +241,23 @@ class TestMetrics:
         top = X.top_k_items(pred, rated, k=2)
         np.testing.assert_array_equal(top, [0, 2])
 
+    def test_top_k_ranks_all_users_as_one_row_at_a_time(self, rng):
+        def one_row(pred, rated, k=10):      # the per-user ranking, one lexsort per row
+            scores = np.where(rated, -np.inf, pred)
+            order = np.lexsort((np.arange(scores.size), -scores))
+            return order[np.isfinite(scores[order])][:k]
+
+        pred = np.round(rng.normal(size=(40, 30)), 1)      # many exact ties
+        rated = rng.random((40, 30)) < 0.5
+        rated[3] = True                                     # rated every item
+        rated[5] = np.arange(30) < 25                      # fewer than k unrated
+        lists = X.top_k_items(pred, rated)
+        want = [one_row(pred[u], rated[u]) for u in range(40)]
+        assert len(lists) == 40 and lists[3].size == 0 and lists[5].size == 5
+        for got, ref in zip(lists, want):
+            np.testing.assert_array_equal(got, ref)
+        assert X.metric_ad_at_k(lists, 10) == X.metric_ad_at_k(want, 10)
+
 
 class TestRunExperiment:
     def desk_cfg(self, tmp_path=None):
@@ -299,11 +316,17 @@ class TestRunExperiment:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert len(outs[0]) == 4 and outs[0] == outs[1]
 
-    def test_cv_sweep_schema(self, tmp_path):
+    def test_cv_sweep_schema(self, tmp_path, monkeypatch):
         cfg = self.desk_cfg()
-        rows = X.run_cv_sweep(cfg, c_v_values=(0.3, 0.6), out_dir=tmp_path,
-                              lipschitz_samples=200)
-        assert len(rows) == 2
-        lines = (tmp_path / "lipschitz.csv").read_text().strip().splitlines()
+        files = []
+        # on two threads the cells share one GRES model, and so its per-thread buffers
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SGNN_THREADS", threads)
+            rows = X.run_cv_sweep(cfg, c_v_values=(0.3, 0.6), out_dir=tmp_path / threads,
+                                  lipschitz_samples=200)
+            assert len(rows) == 2
+            files.append((tmp_path / threads / "lipschitz.csv").read_bytes())
+        lines = files[0].decode().strip().splitlines()
         assert lines[0] == "c_v,graph_seed,c_l"
         assert len(lines) == 3
+        assert files[1] == files[0]

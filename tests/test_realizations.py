@@ -11,6 +11,7 @@ import pytest
 from conftest import small_gres
 from sgnn import graphs as G
 from sgnn import rng as R
+from sgnn import training
 from sgnn.errors import ConfigError
 from sgnn.estimators import sample_stack
 from sgnn.model import (
@@ -18,11 +19,12 @@ from sgnn.model import (
     PER_FILTER,
     SHARED,
     Architecture,
+    Realizations,
     backward_stack,
     forward_stack,
     init_params,
 )
-from sgnn.training import Batch, TrainConfig, train
+from sgnn.training import Batch, DualVars, TrainConfig, lagrangian, train
 
 
 def dense_reference(gres, arch, count, rng, mode):
@@ -113,6 +115,71 @@ def test_forward_on_another_stack_leaves_a_pending_backward_alone():
     np.testing.assert_array_equal(a.seq(2).shift(1, 0, 2, 3), shift_before)
 
 
+def test_pending_tapes_consumed_in_reverse_order_match_isolated_runs():
+    gres = small_gres(n=8, p=0.4, q=0.3)
+    arch = Architecture((1, 3, 1), 3, activation="leaky_relu")
+    params = init_params(arch, np.random.default_rng(1))
+    x = np.random.default_rng(2).normal(size=(1, gres.n, 5))
+    a, b, c = (sample_stack(gres, arch, 4, np.random.default_rng(seed)) for seed in (3, 4, 5))
+    alone = [_objective_grads(params, s, x) for s in (a, b)]
+
+    tape_a = forward_stack(params, a, x)
+    tape_b = forward_stack(params, b, x)
+    grads_b = backward_stack(tape_b, d_output=np.ones_like(tape_b.output)).flatten()
+    _objective_grads(params, c, x)       # borrows what tape_b gave back, not tape_a's
+    grads_a = backward_stack(tape_a, d_output=np.ones_like(tape_a.output)).flatten()
+    np.testing.assert_array_equal(grads_a, alone[0])
+    np.testing.assert_array_equal(grads_b, alone[1])
+
+
+def test_a_consumed_tape_is_refused_and_keeps_its_output():
+    gres = small_gres(n=8, p=0.4, q=0.3)
+    arch = Architecture((1, 3, 1), 2, readout=3)
+    params = init_params(arch, np.random.default_rng(1), n=gres.n)
+    x = np.random.default_rng(2).normal(size=(1, gres.n, 5))
+    stack = sample_stack(gres, arch, 3, np.random.default_rng(3))
+    tape = forward_stack(params, stack, x)
+    output, logits = tape.output.copy(), tape.logits.copy()
+    backward_stack(tape, d_logits=np.ones_like(tape.logits))
+    with pytest.raises(ConfigError, match="no tape"):
+        backward_stack(tape, d_logits=np.ones_like(tape.logits))
+    for seed in (4, 5):      # later passes reuse the tape's buffers, not its output
+        _objective_grads(params, sample_stack(gres, arch, 3, np.random.default_rng(seed)), x)
+    np.testing.assert_array_equal(tape.output, output)
+    np.testing.assert_array_equal(tape.logits, logits)
+
+
+def test_repeated_lagrangians_reuse_one_tape_and_match_explicit_matrices(monkeypatch):
+    gres = small_gres(n=8, p=0.4, q=0.3)
+    arch = Architecture((1, 3, 1), 3, activation="leaky_relu", readout=4)
+    params = init_params(arch, np.random.default_rng(1), n=gres.n)
+    rng = np.random.default_rng(2)
+    batch = Batch(np.moveaxis(rng.normal(size=(5, 1, gres.n)), 0, -1), rng.integers(0, 4, 5))
+    cfg = TrainConfig(n_realizations=1, c_f=0.1, c_s=0.05)
+    gamma = DualVars(0.3, 0.2)
+    spares = gres.thread_cache("tapes")
+    masks, held = [], []
+    for seed in range(4):
+        masks.append(lagrangian(params, gamma, gres, batch, cfg, np.random.default_rng(seed)))
+        held.append([id(buf) for bufs in spares.values() for buf in bufs])
+    # per layer the pre-activation and K hops, plus the inputs of layers >= 1
+    assert len(held[0]) == arch.layers * (arch.order + 1) + arch.layers - 1
+    assert held[1:] == held[:-1]
+
+    def as_matrices(gres, arch, count, rng, mode):
+        stack = sample_stack(gres, arch, count, rng, mode)
+        # copies: each layer's shifts live in a workspace the next layer overwrites
+        rows = np.concatenate([stack.dense(l).reshape(-1, gres.n, gres.n).copy()
+                               for l in range(arch.layers)])
+        return Realizations.from_rows(arch, mode, gres.n, rows)
+
+    monkeypatch.setattr(training, "sample_stack", as_matrices)
+    for seed, (value, grads) in enumerate(masks):
+        want_value, want = lagrangian(params, gamma, gres, batch, cfg, np.random.default_rng(seed))
+        assert value == want_value
+        np.testing.assert_array_equal(grads.flatten(), want.flatten())
+
+
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
 def test_output_only_forward_is_bit_identical(activation, mode):
@@ -137,24 +204,42 @@ def test_output_only_forward_is_bit_identical(activation, mode):
         backward_stack(kept[0][0], d_logits=np.ones_like(kept[0][0].logits))
 
 
+class RegressionData:
+    """40 random (input, target) signal pairs on n nodes."""
+
+    def __init__(self, n, rng):
+        self.x = rng.normal(size=(40, 1, n))
+        self.y = rng.normal(size=(40, n))
+
+    def sample_batch(self, rng, size, split="train"):
+        idx = rng.integers(0, 40, size=size)
+        return Batch(np.moveaxis(self.x[idx], 0, -1), self.y[idx].T,
+                     np.ones((self.y.shape[1], size)))
+
+
+def test_train_leaves_no_buffers_on_the_thread():
+    gres = small_gres(n=10, p=0.3, q=0.2)
+    arch = Architecture((1, 3, 1), 3, activation="leaky_relu")
+    cfg = TrainConfig(max_iters=3, n_realizations=4, batch_size=4, loss="masked_mse")
+    caches = ("tapes", "scratch", "hops", "workspaces")
+    during = []
+    train(init_params(arch, np.random.default_rng(1)), gres,
+          RegressionData(gres.n, np.random.default_rng(2)), cfg, R.root_rng(3),
+          callback=lambda *_: during.append([len(gres.thread_cache(c)) for c in caches]))
+    assert len(during) == 3 and all(all(sizes) for sizes in during)
+    assert not any(gres.thread_cache(c) for c in caches)
+
+
 def test_threads_training_on_one_model_match_serial_runs():
     gres = small_gres(n=10, p=0.3, q=0.2)
     arch = Architecture((1, 3, 1), 3, activation="leaky_relu")
     cfg = TrainConfig(max_iters=25, n_realizations=6, batch_size=4, loss="masked_mse",
                       eta_primal=0.01, c_s=0.05, realization_mode=PER_FILTER)
-    data_rng = np.random.default_rng(7)
-
-    class Data:
-        x = data_rng.normal(size=(40, 1, gres.n))
-        y = data_rng.normal(size=(40, gres.n))
-
-        def sample_batch(self, rng, size, split="train"):
-            idx = rng.integers(0, 40, size=size)
-            return Batch(np.moveaxis(self.x[idx], 0, -1), self.y[idx].T, np.ones((gres.n, size)))
+    data = RegressionData(gres.n, np.random.default_rng(7))
 
     def run(seed):
         params0 = init_params(arch, np.random.default_rng(seed))
-        params, _, trace = train(params0, gres, Data(), cfg, R.root_rng(seed))
+        params, _, trace = train(params0, gres, data, cfg, R.root_rng(seed))
         return params.flatten(), [r["lagrangian"] for r in trace.rows]
 
     seeds = range(11, 11 + max(4, 2 * (os.cpu_count() or 1)))
