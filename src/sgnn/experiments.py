@@ -208,41 +208,67 @@ def gen_source_denoising(cfg: SourceLocConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
+_RATING_FIELDS = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64),
+                          ("timestamp", np.int64)])
+
+
 def load_movielens(path, n_users: int = 943, n_items: int = 1682,
                    expect_count: int | None = 100000) -> np.ndarray:
     """Parse a tab-separated ``u.data`` rating file into a dense matrix.
 
-    Ids are 1-based in the file; the returned users x items matrix uses 0
-    for unrated.  Malformed lines, out-of-range ids and a repeated (user,
-    item) pair raise with the line number; a wrong total count raises when
-    ``expect_count`` is given.
+    Each non-blank line is ``user<TAB>item<TAB>rating<TAB>timestamp``, with
+    integer ids and timestamp; one ``np.loadtxt`` pass reads them all.  Ids
+    are 1-based in the file; the returned users x items matrix uses 0 for
+    unrated.  A malformed line, an out-of-range id, a rating that is not a
+    whole number of stars from 1 to 5 and a repeated (user, item) pair raise
+    with the line number, the earliest such line first (a malformed line
+    before all others); a wrong total count raises when ``expect_count`` is
+    given.
     """
-    ratings = np.zeros((n_users, n_items))
-    first_line = np.zeros((n_users, n_items), dtype=np.int32)
-    count = 0
     with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        lines = f.read().split("\n")
+    rows = [row for row in map(str.strip, lines) if row]
+
+    def line_of(k):         # the 1-based line number of rows[k], for messages
+        return [n for n, line in enumerate(lines, start=1) if line.strip()][k]
+
+    try:
+        table = np.loadtxt(rows, dtype=_RATING_FIELDS, delimiter="\t", comments=None,
+                           ndmin=1) if rows else np.zeros(0, _RATING_FIELDS)
+    except ValueError as exc:
+        for k, row in enumerate(rows):
             try:
-                user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if not (1 <= user <= n_users and 1 <= item <= n_items):
-                raise ConfigError(
-                    f"{path}:{lineno}: id ({user},{item}) outside {n_users}x{n_items}")
-            if first_line[user - 1, item - 1]:
-                raise ConfigError(f"{path}:{lineno}: ({user},{item}) already rated on line "
-                                  f"{first_line[user - 1, item - 1]}")
-            first_line[user - 1, item - 1] = lineno
-            ratings[user - 1, item - 1] = rating
-            count += 1
-    if expect_count is not None and count != expect_count:
-        raise ConfigError(f"{path}: expected {expect_count} ratings, found {count}")
+                np.loadtxt([row], dtype=_RATING_FIELDS, delimiter="\t", comments=None)
+            except ValueError:
+                raise ConfigError(f"{path}:{line_of(k)}: expected 4 tab-separated fields, "
+                                  f"all integers but the rating: {row!r}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
+    user, item, rating = table["user"], table["item"], table["rating"]
+    bad_id = (user < 1) | (user > n_users) | (item < 1) | (item > n_items)
+    faults = np.flatnonzero(bad_id | ~np.isin(rating, np.arange(1, 6)))
+    stop = faults[0] if faults.size else table.size
+    # a pair rated again before the first other fault is the earliest fault
+    keys = (user[:stop] - 1) * n_items + (item[:stop] - 1)
+    distinct, first = np.unique(keys, return_index=True)
+    repeated = np.ones(stop, dtype=bool)
+    repeated[first] = False
+    if repeated.any():
+        k = np.flatnonzero(repeated)[0]
+        seen = first[np.searchsorted(distinct, keys[k])]
+        raise ConfigError(f"{path}:{line_of(k)}: ({user[k]},{item[k]}) already rated on line "
+                          f"{line_of(seen)}")
+    if faults.size:
+        k = stop
+        if bad_id[k]:
+            raise ConfigError(
+                f"{path}:{line_of(k)}: id ({user[k]},{item[k]}) outside {n_users}x{n_items}")
+        stars = rows[k].split("\t")[2]
+        raise ConfigError(f"{path}:{line_of(k)}: rating {stars!r} is not a whole number of "
+                          f"stars from 1 to 5")
+    if expect_count is not None and table.size != expect_count:
+        raise ConfigError(f"{path}: expected {expect_count} ratings, found {table.size}")
+    ratings = np.zeros((n_users, n_items))
+    ratings[user - 1, item - 1] = rating
     return ratings
 
 
@@ -392,10 +418,8 @@ def metric_rmse(preds: np.ndarray, targets: np.ndarray, masks: np.ndarray) -> fl
 
 def metric_ad_at_k(recommendation_lists, k: int = 10) -> int:
     """Aggregated diversity: distinct items across all users' top-k lists."""
-    seen = set()
-    for lst in recommendation_lists:
-        seen.update(int(i) for i in lst[:k])
-    return len(seen)
+    firsts = [np.asarray(lst[:k], dtype=np.int64) for lst in recommendation_lists]
+    return int(np.unique(np.concatenate(firsts)).size) if firsts else 0
 
 
 def top_k_items(pred_ratings: np.ndarray, already_rated: np.ndarray, k: int = 10):

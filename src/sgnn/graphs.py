@@ -264,16 +264,19 @@ class GresModel:
 
     def materialize(self, bits: np.ndarray) -> np.ndarray:
         """Dense shifts for ``bits``, in a workspace the next call on this thread
-        for as many shifts overwrites."""
+        for as many shifts overwrites.  The caller only reads it: a call for
+        the bits it already holds returns it unwritten."""
         sampler = self._sampler
         pool = self.thread_cache("workspaces")
         if len(bits) not in pool:
             if len(pool) >= WORKSPACES_PER_THREAD:
                 del pool[next(iter(pool))]
             nominal = np.broadcast_to(sampler.nominal_bits, bits.shape)
-            pool[len(bits)] = [self.realize(nominal), np.zeros(0, dtype=np.intp)]
-        entry = pool[len(bits)]
-        entry[1] = sampler.write(entry[0], bits, entry[1])
+            pool[len(bits)] = [self.realize(nominal), np.zeros(0, dtype=np.intp), nominal.copy()]
+        entry = pool[len(bits)]     # the shifts, their indices off nominal, their bits
+        if not np.array_equal(entry[2], bits):
+            entry[1] = sampler.write(entry[0], bits, entry[1])
+            np.copyto(entry[2], bits)
         return entry[0]
 
 
@@ -464,31 +467,47 @@ def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2,
                          top: int | None = None) -> list:
     """Item-pair Pearson correlations over co-rated users, sorted.
 
-    ``ratings`` is users x items with 0 marking a missing rating.  For each
-    pair the correlation is computed over users that rated both items; pairs
-    with fewer than ``min_coraters`` co-raters, or with a constant rating
-    vector on the co-rated set, get correlation 0 and are omitted.  Returns
-    (i, j, corr) triples sorted by decreasing signed correlation, ties broken
-    by (i, j) for determinism; only the first ``top`` when it is given.
+    ``ratings`` is users x items of whole numbers, with 0 marking a missing
+    rating.  For each pair the correlation is computed over users that rated
+    both items; pairs with fewer than ``min_coraters`` co-raters, or with a
+    constant rating vector on the co-rated set, get correlation 0 and are
+    omitted.  Returns (i, j, corr) triples sorted by decreasing signed
+    correlation, ties broken by (i, j) for determinism; only the first
+    ``top`` when it is given.
+
+    The four item x item sums (co-rater counts, sums of ratings and of their
+    squares over co-raters, and cross products) are single-precision matrix
+    products.  They are exact because every partial sum is an integer below
+    2^24, so ratings that are not whole numbers, or too large for
+    ``n_users * max|r|^2 < 2^24``, raise GraphError.  The float64 formula
+    then runs on the co-rated pairs of the upper triangle alone.
     """
-    r = np.asarray(ratings, dtype=float)
-    mask = (r != 0).astype(float)
+    r = np.asarray(ratings, dtype=np.float32)       # never written to: may be the caller's
+    peak = float(max(r.max(), -r.min())) if r.size else 0.0
+    if not (np.array_equal(r, ratings) and np.array_equal(r, np.rint(r))
+            and r.shape[0] * peak * peak < 2 ** 24):
+        raise GraphError("ratings must be whole numbers with n_users * max|r|^2 < 2^24")
+    mask = (r != 0).astype(np.float32)
     cnt = mask.T @ mask                 # co-rater counts
-    s1 = r.T @ mask                     # sum of item-i ratings over co-raters with j
-    s2 = (r * r).T @ mask
-    cross = r.T @ r
+    iu, ju = np.nonzero(np.triu(cnt >= min_coraters, k=1))
+    n_ij = cnt[iu, ju].astype(float)
+    del cnt
+
+    def pair_sums(gram):
+        """The float64 (i, j) and (j, i) entries of a Gram product at the kept pairs."""
+        return gram[iu, ju].astype(float), gram[ju, iu].astype(float)
+
+    s1_ij, s1_ji = pair_sums(r.T @ mask)    # item-i ratings summed over co-raters with j
+    s2_ij, s2_ji = pair_sums((r * r).T @ mask)
+    cross = (r.T @ r)[iu, ju].astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu_i = s1 / cnt
-        mu_j = mu_i.T
-        var_i = s2 / cnt - mu_i ** 2
-        var_j = var_i.T
-        cov = cross / cnt - mu_i * mu_j
-        corr = cov / np.sqrt(var_i * var_j)
-    bad = (cnt < min_coraters) | ~np.isfinite(corr)
-    corr = np.where(bad, 0.0, corr)
-    iu, ju = np.triu_indices(r.shape[1], k=1)
-    vals = corr[iu, ju]
-    nz = np.nonzero(vals)[0]
+        mu_i = s1_ij / n_ij
+        mu_j = s1_ji / n_ij
+        var_i = s2_ij / n_ij - mu_i ** 2
+        var_j = s2_ji / n_ij - mu_j ** 2
+        cov = cross / n_ij - mu_i * mu_j
+        vals = cov / np.sqrt(var_i * var_j)
+    nz = np.nonzero(np.isfinite(vals) & (vals != 0))[0]
     neg = -vals[nz]
     if top is not None and top < nz.size:
         # every pair tied with the top-th value survives, so the (i, j)

@@ -98,7 +98,9 @@ def _activation_fns(arch: Architecture):
             np.copyto(out, s)
             np.copyto(out, 1.0, where=u > 0)
             return out
-        return (lambda u: np.multiply(u, s, out=u, where=u <= 0), leaky_deriv)
+        # u above zero and s*u below: the larger of the two when s <= 1, else the smaller
+        pick = np.maximum if s <= 1 else np.minimum
+        return (lambda u: pick(u, u * s, out=u), leaky_deriv)
     if arch.activation == ABS:
         return (lambda u: np.abs(u, out=u), lambda u, out: np.sign(u, out=out))
     return (lambda u: u, lambda u, out: np.positive(1.0, out=out))

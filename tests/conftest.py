@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgnn import experiments as X
 from sgnn import graphs as G
 from sgnn.model import PER_FILTER, Architecture, Realizations, init_params
 
@@ -35,3 +36,11 @@ def small_gres(n=6, p=0.3, q=0.2, kind=G.ADJACENCY, seed=0, normalize=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="module")
+def small_ratings(tmp_path_factory):
+    """80 users x 50 items, 1,200 synthetic ratings."""
+    path = tmp_path_factory.mktemp("ml") / "u.data"
+    X.write_synthetic_movielens(path, seed=5, n_users=80, n_items=50, n_ratings=1200)
+    return X.load_movielens(path, n_users=80, n_items=50, expect_count=1200)

@@ -141,6 +141,33 @@ class TestMovieLens:
         with pytest.raises(ConfigError, match=r":3: \(1,2\) already rated on line 1"):
             X.load_movielens(path, n_users=3, n_items=4, expect_count=None)
 
+    @pytest.mark.parametrize("stars", ["3.5", "0", "6", "-1", "nan"])
+    def test_rating_off_the_star_scale_rejected_with_its_line(self, tmp_path, stars):
+        path = tmp_path / "u.data"
+        path.write_text(f"1\t2\t5\t100\n\n2\t1\t{stars}\t200\n1\t3\t4\t300\n")
+        with pytest.raises(ConfigError, match=f":3: rating '{stars}' is not a whole number"):
+            X.load_movielens(path, n_users=3, n_items=4, expect_count=3)
+
+    def test_earliest_faulty_line_is_named(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t2\t5\t100\n1\t2\t4\t300\n2\t9\t3\t200\n")
+        with pytest.raises(ConfigError, match=r":2: \(1,2\) already rated on line 1"):
+            X.load_movielens(path, n_users=3, n_items=4, expect_count=None)
+        path.write_text("1\t2\t5\t100\n2\t9\t3\t200\n1\t2\t4\t300\n3\t1\t0\t1\n")
+        with pytest.raises(ConfigError, match=r":2: id \(2,9\) outside 3x4"):
+            X.load_movielens(path, n_users=3, n_items=4, expect_count=None)
+
+    def test_matches_a_line_by_line_parse(self, tmp_path):
+        path = tmp_path / "u.data"
+        X.write_synthetic_movielens(path, seed=2, n_users=60, n_items=40, n_ratings=900)
+        want = np.zeros((60, 40))
+        for line in path.read_text().splitlines():
+            user, item, stars, _ = line.split("\t")
+            want[int(user) - 1, int(item) - 1] = float(stars)
+        got = X.load_movielens(path, n_users=60, n_items=40, expect_count=900)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
     def test_wrong_count_rejected(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t1\t4\t100\n")
@@ -154,13 +181,6 @@ class TestMovieLens:
         vals = r[r != 0]
         assert np.all((vals >= 1) & (vals <= 5))
         assert np.all(vals == np.rint(vals))
-
-
-@pytest.fixture(scope="module")
-def small_ratings(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ml") / "u.data"
-    X.write_synthetic_movielens(path, seed=5, n_users=80, n_items=50, n_ratings=1200)
-    return X.load_movielens(path, n_users=80, n_items=50, expect_count=1200)
 
 
 class TestRecsysTask:
@@ -229,6 +249,17 @@ class TestMetrics:
         assert X.metric_ad_at_k(same, 10) == 10
         disjoint = [list(range(10)), list(range(10, 20))]
         assert X.metric_ad_at_k(disjoint, 10) == 20
+
+    def test_ad_at_k_counts_what_a_set_counts(self, rng):
+        def by_set(lists, k):
+            return len({int(i) for lst in lists for i in lst[:k]})
+
+        ragged = [rng.choice(30, size=rng.integers(0, 15), replace=False) for _ in range(25)]
+        cases = [ragged, [list(lst) for lst in ragged], [[3], [], [3, 4]], [[], []], [],
+                 [np.arange(5, 0, -1)]]
+        for lists in cases:
+            for k in (0, 1, 3, 10):
+                assert X.metric_ad_at_k(lists, k) == by_set(lists, k)
 
     def test_ad_bounds(self, rng):
         lists = [rng.choice(50, size=10, replace=False) for _ in range(7)]

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgnn import experiments as X
 from sgnn import graphs as G
 from sgnn.errors import GraphError
 
@@ -215,6 +218,54 @@ class TestSbm:
         assert sizes == [4, 4, 3]
 
 
+def float64_pearson(ratings, min_coraters=2):
+    """The float64 formula on full item x item matrices: the oracle that
+    ``pearson_correlations`` must match bit for bit."""
+    r = np.asarray(ratings, dtype=float)
+    mask = (r != 0).astype(float)
+    cnt = mask.T @ mask
+    s1 = r.T @ mask
+    s2 = (r * r).T @ mask
+    cross = r.T @ r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_i = s1 / cnt
+        mu_j = mu_i.T
+        var_i = s2 / cnt - mu_i ** 2
+        var_j = var_i.T
+        cov = cross / cnt - mu_i * mu_j
+        corr = cov / np.sqrt(var_i * var_j)
+    bad = (cnt < min_coraters) | ~np.isfinite(corr)
+    corr = np.where(bad, 0.0, corr)
+    iu, ju = np.triu_indices(r.shape[1], k=1)
+    vals = corr[iu, ju]
+    nz = np.nonzero(vals)[0]
+    order = np.lexsort((ju[nz], iu[nz], -vals[nz]))
+    nz = nz[order]
+    return [(int(i), int(j), float(v)) for i, j, v in zip(iu[nz], ju[nz], vals[nz])]
+
+
+def tie_heavy_ratings():
+    """Items rated by two or three of many users: thousands of exact +-1 ties."""
+    rng = np.random.default_rng(4)
+    r = np.zeros((40, 300))
+    for item in range(300):
+        users = rng.choice(40, size=rng.integers(2, 4), replace=False)
+        r[users, item] = rng.integers(1, 6, size=users.size)
+    return r
+
+
+def bits(triples):
+    return [(i, j, c.hex()) for i, j, c in triples]
+
+
+@pytest.fixture(scope="module")
+def movielens_ratings(tmp_path_factory):
+    """A synthetic file of the full 943 x 1,682 MovieLens-100k size."""
+    path = tmp_path_factory.mktemp("ml") / "u.data"
+    X.write_synthetic_movielens(path, seed=3)
+    return X.load_movielens(path)
+
+
 class TestPearson:
     def test_identical_columns_correlate_fully(self):
         r = np.array([[1, 1], [2, 2], [5, 5], [3, 3.0]])
@@ -248,12 +299,7 @@ class TestPearson:
         assert G.pearson_correlations(r) == []
 
     def test_top_k_matches_the_full_keyed_sort_across_ties(self):
-        # items rated by two or three of many users: thousands of exact +-1 ties
-        rng = np.random.default_rng(4)
-        r = np.zeros((40, 300))
-        for item in range(300):
-            users = rng.choice(40, size=rng.integers(2, 4), replace=False)
-            r[users, item] = rng.integers(1, 6, size=users.size)
+        r = tie_heavy_ratings()
         full = G.pearson_correlations(r)
         ranked = sorted(full, key=lambda t: (-t[2], t[0], t[1]))
         assert full == ranked
@@ -262,6 +308,44 @@ class TestPearson:
         for k in (0, 1, 55, values.count(1.0), values.count(1.0) + 7, len(ranked) - 1,
                   len(ranked), len(ranked) + 5):
             assert G.pearson_correlations(r, top=k) == ranked[:k]
+
+    def test_single_precision_sums_match_the_float64_formula_bit_for_bit(
+            self, movielens_ratings, small_ratings):
+        for r in (tie_heavy_ratings(), movielens_ratings, small_ratings):
+            want = float64_pearson(r)
+            assert len(want) > 100
+            assert bits(G.pearson_correlations(r)) == bits(want)
+
+    def test_float32_input_is_read_and_left_alone(self, small_ratings):
+        r = small_ratings.astype(np.float32)
+        r.flags.writeable = False
+        assert bits(G.pearson_correlations(r)) == bits(float64_pearson(small_ratings))
+        np.testing.assert_array_equal(r, small_ratings)
+
+    def test_exact_up_to_the_single_precision_bound(self):
+        # 3 users: 3 * 2364^2 is just below 2^24, 3 * 2365^2 just above
+        r = np.array([[2364.0, -2364.0, 7.0], [-2363.0, 2364.0, 2.0], [2364.0, 2361.0, 1.0]])
+        assert bits(G.pearson_correlations(r)) == bits(float64_pearson(r))
+        r[2, 1] = 2365.0
+        with pytest.raises(GraphError, match="2\\^24"):
+            G.pearson_correlations(r)
+
+    @pytest.mark.parametrize("bad", [3.5, -0.25, np.nan, np.inf, 2.0 ** 24 + 1])
+    def test_ratings_that_are_not_whole_numbers_are_refused(self, bad):
+        r = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]])
+        r[1, 0] = bad
+        with pytest.raises(GraphError, match="whole numbers"):
+            G.pearson_correlations(r)
+
+    def test_peak_allocation_on_the_full_size_file(self, movielens_ratings):
+        tracemalloc.start()
+        try:
+            G.pearson_correlations(movielens_ratings, top=55)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 item x item version peaked at 236 MB on this file
+        assert peak < 100e6
 
 
 class TestNormalizeShift:

@@ -41,6 +41,20 @@ def filter_output(h, shifts, x):
     return M.forward_stack(params, seq, x[None, :, None]).output[0, 0, :, 0]
 
 
+@pytest.mark.parametrize("slope", [-0.3, 0.0, 0.01, 0.2, 1.0, 1.5, 3.0])
+def test_leaky_relu_is_bitwise_the_masked_multiply(slope, rng):
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 7 * tiny, -7 * tiny, 2e-308, -2e-308, 1e300, -1e300]
+    u = np.concatenate([edges, rng.normal(size=500)]).reshape(2, 5, 51)
+    want = u.copy()
+    np.multiply(want, slope, out=want, where=want <= 0)
+    arch = M.Architecture((1, 1), 0, activation="leaky_relu", leaky_slope=slope)
+    act, _ = M._activation_fns(arch)
+    got = u.copy()
+    assert act(got) is got
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestFilterApply:
     def test_order_zero_scales_input(self, rng):
         x = rng.normal(size=5)

@@ -180,6 +180,26 @@ def test_repeated_lagrangians_reuse_one_tape_and_match_explicit_matrices(monkeyp
         np.testing.assert_array_equal(grads.flatten(), want.flatten())
 
 
+def test_a_lagrangian_writes_the_shared_workspace_once_per_layer(monkeypatch):
+    # both layers hold 3 * K shifts and share one workspace; the backward pass
+    # needs the last layer, which the forward pass left in it
+    gres = small_gres(n=8, p=0.4, q=0.3)
+    arch = Architecture((1, 3, 1), 3, activation="leaky_relu", readout=4)
+    params = init_params(arch, np.random.default_rng(1), n=gres.n)
+    rng = np.random.default_rng(2)
+    batch = Batch(np.moveaxis(rng.normal(size=(5, 1, gres.n)), 0, -1), rng.integers(0, 4, 5))
+    cfg = TrainConfig(n_realizations=2, c_f=0.1, c_s=0.05)
+    write = G._Sampler.write
+    writes = []
+    monkeypatch.setattr(G._Sampler, "write",
+                        lambda self, *args: writes.append(1) or write(self, *args))
+    lagrangian(params, DualVars(0.3, 0.2), gres, batch, cfg, np.random.default_rng(0))
+    for seed in range(1, 4):
+        writes.clear()
+        lagrangian(params, DualVars(0.3, 0.2), gres, batch, cfg, np.random.default_rng(seed))
+        assert len(writes) == 2
+
+
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
 def test_output_only_forward_is_bit_identical(activation, mode):
