@@ -44,7 +44,7 @@ cfg = TrainConfig(max_iters=500, n_realizations=10, batch_size=32,
 
 results = {}
 for p in (0.0, 0.1):
-    task = build_recsys_task(ratings, RecsysConfig(p=p, max_samples=4000))
+    task = build_recsys_task(ratings, RecsysConfig(max_samples=4000), p)
     params0 = init_params(arch, R.derive(0, 2), n=task.graph.n)
     params, _, _ = train(params0, task.gres, task.dataset, cfg, R.derive(0, 3))
     draws = 20 if p > 0 else 1

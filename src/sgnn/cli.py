@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, NumericalError, SgnnError
-from .estimators import McConfig, append_moments_row, estimate_moments
+from .estimators import McConfig, estimate_moments, write_moments
 from .experiments import (
     RECSYS,
     SOURCE_LOCALIZATION,
@@ -157,7 +157,10 @@ def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> Experim
     _check_keys(sweep, ("p_values", "modes", "graph_seeds"), "sweep")
     kwargs = {k: v for k, v in doc.items() if k in ("task", "ratings_path", "eval_draws",
                                                      "cost_window")}
-    kwargs.update({k: tuple(v) for k, v in sweep.items()})
+    for key, values in sweep.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep.{key} must be a list, got {values!r}")
+        kwargs[key] = tuple(values)
     if "architecture" in doc:
         kwargs["arch"] = _build(doc["architecture"], Architecture, "architecture")
     return ExperimentConfig(
@@ -280,7 +283,7 @@ def cmd_verify(args) -> int:
         cfg = McConfig(n_real, master_seed=args.seed)
         reports.append(check_variance_bound(params, gres, x, cfg))
         rep = estimate_moments(params, gres, x, cfg)
-        append_moments_row(os.path.join(args.out, "moments.csv"), gres.p, gres.q, rep)
+        write_moments(os.path.join(args.out, "moments.csv"), gres.p, gres.q, rep)
     if want("chebyshev"):
         cfg = McConfig(max(200, n_real), master_seed=args.seed + 1)
         var = estimate_moments(params, gres, x, cfg).variance

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +125,6 @@ def plugin_variance(phi: np.ndarray) -> np.ndarray:
     return np.maximum(np.mean((phi - m1) ** 2, axis=0), 0.0)
 
 
-def estimate_cost(params: SgnnParams, gres: GresModel, batch, cfg: McConfig,
-                  loss, mode: str = PER_FILTER) -> float:
-    """Empirical expected cost: mean over realizations of the mean batch loss."""
-    rng = cfg.rng()
-    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode)
-    tape = forward_stack(params, stack, batch.x, keep_tape=False)
-    pred = tape.logits if tape.logits is not None else _phi(tape)
-    return float(loss.value(pred, batch))
-
-
 def estimate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
                      cfg: McConfig, mode: str = PER_FILTER) -> MomentReport:
     """First/second output moments and plug-in variance for one input."""
@@ -231,13 +220,11 @@ def enumerate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
 MOMENTS_COLUMNS = ["p", "q", "N", "mean_cost", "first_moment", "second_moment", "variance"]
 
 
-def append_moments_row(path, p: float, q: float, report: MomentReport) -> None:
-    """Append one verification row to moments.csv, creating the header once."""
-    fresh = not os.path.exists(path)
-    with open(path, "a", newline="") as f:
+def write_moments(path, p: float, q: float, report: MomentReport) -> None:
+    """Write moments.csv afresh: the header and one verification row."""
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if fresh:
-            writer.writerow(MOMENTS_COLUMNS)
+        writer.writerow(MOMENTS_COLUMNS)
         cost = "" if report.mean_cost is None else repr(report.mean_cost)
         writer.writerow([repr(p), repr(q), report.n_samples, cost,
                          repr(report.first_moment), repr(report.second_moment),

@@ -110,7 +110,6 @@ class SourceLocConfig:
     p_intra: float = 0.8
     p_inter: float = 0.2
     p: float = 0.1
-    q: float = 0.0
     t_max: int = 50
     noise_std: float = 0.01
     standardize: bool = False
@@ -145,8 +144,7 @@ def _source_signals(cfg: SourceLocConfig, rng: np.random.Generator):
     if not graph.edges:
         raise GraphError("SBM draw produced an empty graph; cannot diffuse")
     nominal = normalize_shift(build_shift(graph, ADJACENCY))
-    gres = GresModel(nominal, drop_edges=nominal.edges(), add_edges=(),
-                     p=cfg.p, q=cfg.q)
+    gres = GresModel(nominal, drop_edges=nominal.edges(), add_edges=(), p=cfg.p)
     diffusion = normalize_shift(expected_shift(gres)).entries
     sources = community_sources(graph, cfg.communities)
 
@@ -308,11 +306,7 @@ def write_synthetic_movielens(path, seed: int = 0, n_users: int = 943,
 class RecsysConfig:
     keep_top: int = 35
     add_next: int = 20
-    p: float = 0.1
     max_samples: int | None = None
-    split_fractions: tuple = (0.8, 0.1, 0.1)
-    shuffle_seed: int = 0
-    center: bool = True
 
 
 @dataclass
@@ -331,15 +325,15 @@ class RecsysTask:
     ratings_sub: np.ndarray     # users x covered items (raw scale)
     sample_users: np.ndarray    # user id per dataset sample
     sample_items: np.ndarray    # subgraph node per dataset sample
-    rating_mean: float = 0.0    # subtracted from signals/targets when centering
+    rating_mean: float = 0.0    # subtracted from signals and targets
 
 
-def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
+def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig, p: float = 0.1) -> RecsysTask:
     """Pearson item graph with droppable top edges and addable runner-ups.
 
     The ``keep_top`` highest-correlation edges form the nominal graph and may
-    all drop; the next ``add_next`` by correlation may appear, both with the
-    same probability.  One sample per (user, rated covered movie): the
+    all drop; the next ``add_next`` by correlation may appear, both with
+    probability p.  One sample per (user, rated covered movie): the
     held-out entry is zeroed in the input and must be predicted at its node.
     """
     corrs = pearson_correlations(ratings, top=cfg.keep_top + cfg.add_next)
@@ -361,7 +355,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
         nominal,
         drop_edges=nominal.edges(),
         add_edges=tuple((i, j, w * scale) for i, j, w in nxt_sub),
-        p=cfg.p, q=cfg.p,
+        p=p, q=p,
     )
 
     sub = ratings[:, covered]
@@ -372,7 +366,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
     order = np.lexsort((items, users))
     users, items = users[order], items[order]
     if cfg.max_samples is not None and users.size > cfg.max_samples:
-        rng = rngmod.derive(cfg.shuffle_seed, 1)
+        rng = rngmod.derive(0, 1)
         sel = np.sort(rng.choice(users.size, cfg.max_samples, replace=False))
         users, items = users[sel], items[sel]
 
@@ -380,7 +374,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
     # standard collaborative-filtering centering: a zero prediction at an
     # uninformative node then means "predict the average rating" instead of
     # an impossible absolute level (the network has no bias terms)
-    mu = float(sub[sub != 0].mean()) if cfg.center and np.any(sub != 0) else 0.0
+    mu = float(sub[sub != 0].mean()) if np.any(sub != 0) else 0.0
     centered = np.where(sub != 0, sub - mu, 0.0)
 
     num = users.size
@@ -391,7 +385,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig) -> RecsysTask:
         inputs[k, 0, items[k]] = 0.0
         targets[k, items[k]] = centered[users[k], items[k]]
         masks[k, items[k]] = 1.0
-    splits = make_splits(num, cfg.split_fractions, rngmod.derive(cfg.shuffle_seed, 2))
+    splits = make_splits(num, shuffle_rng=rngmod.derive(0, 2))
     dataset = LabeledDataset(inputs, targets, masks, splits)
     return RecsysTask(graph, gres, dataset, covered, sub, users, items, mu)
 
@@ -519,7 +513,7 @@ def cell_task(cfg: ExperimentConfig, graph_seed: int, p: float, ratings=None):
                 accs[d] = metric_accuracy(pred, batch.y)
             return {"accuracy": accs}
         return gres, dataset, evaluate
-    task = build_recsys_task(ratings, replace(cfg.recsys, p=p))
+    task = build_recsys_task(ratings, cfg.recsys, p)
 
     def evaluate(params, draws, rng):
         rmses, ads = _evaluate_recsys(params, task, draws, rng, mode)

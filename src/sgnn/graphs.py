@@ -269,8 +269,6 @@ class GresModel:
         sampler = self._sampler
         pool = self.thread_cache("workspaces")
         if len(bits) not in pool:
-            if len(pool) >= WORKSPACES_PER_THREAD:
-                del pool[next(iter(pool))]
             nominal = np.broadcast_to(sampler.nominal_bits, bits.shape)
             pool[len(bits)] = [self.realize(nominal), np.zeros(0, dtype=np.intp), nominal.copy()]
         entry = pool[len(bits)]     # the shifts, their indices off nominal, their bits
@@ -278,9 +276,6 @@ class GresModel:
             entry[1] = sampler.write(entry[0], bits, entry[1])
             np.copyto(entry[2], bits)
         return entry[0]
-
-
-WORKSPACES_PER_THREAD = 4
 
 
 class _Sampler:
@@ -550,30 +545,3 @@ def save_shift(csv_path, shift: ShiftOperator, gres: GresModel | None = None) ->
         }
     with open(_sidecar_path(csv_path), "w") as f:
         json.dump(meta, f, indent=1, sort_keys=True)
-
-
-def load_shift(csv_path):
-    """Read a shift operator (and its GRES model if present) back from disk."""
-    with open(_sidecar_path(csv_path)) as f:
-        meta = json.load(f)
-    edges = []
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["i", "j", "w"]:
-            raise GraphError(f"unexpected edge CSV header {header}")
-        for row in reader:
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-    graph = Graph(meta["n"], tuple(edges))
-    shift = build_shift(graph, meta["kind"])
-    model = None
-    if meta.get("gres"):
-        g = meta["gres"]
-        model = GresModel(
-            nominal=shift,
-            drop_edges=tuple(tuple(e) for e in g["drop_edges"]),
-            add_edges=tuple(tuple(e) for e in g["add_edges"]),
-            p=g["p"],
-            q=g["q"],
-        )
-    return shift, model

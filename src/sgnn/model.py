@@ -94,9 +94,13 @@ def _activation_fns(arch: Architecture):
     if arch.activation == RELU:
         return (lambda u: np.maximum(u, 0.0, out=u), lambda u, out: np.greater(u, 0.0, out=out))
     if arch.activation == LEAKY_RELU:
+        slopes = np.array([s, 1.0])
+
         def leaky_deriv(u, out):
-            np.copyto(out, s)
-            np.copyto(out, 1.0, where=u > 0)
+            # np.take copies its mask as intp indices, so one realization at a
+            # time; they are 0 or 1, and "clip" skips the buffered bounds check
+            for a, o in zip(u, out):
+                np.take(slopes, a > 0, out=o, mode="clip")
             return out
         # u above zero and s*u below: the larger of the two when s <= 1, else the smaller
         pick = np.maximum if s <= 1 else np.minimum
@@ -220,12 +224,6 @@ class Realizations:
     def count(self) -> int:
         return self.layers[0].shape[0]
 
-    @property
-    def total(self) -> int:
-        """Number of distinct sampled shifts per sequence (the paper-facing P)."""
-        trailing = 2 if self.gres is None else 1
-        return sum(int(np.prod(a.shape[1:a.ndim - trailing])) for a in self.layers)
-
     @classmethod
     def from_rows(cls, arch: Architecture, mode: str, n: int, rows, gres=None):
         """One sequence from per-shift n x n matrices, or ``gres`` bits, in sampling order."""
@@ -291,9 +289,6 @@ def _params_token(params: SgnnParams) -> tuple:
     return tuple(id(a) for a in params.arrays())
 
 
-SCRATCH_BUFFERS = 32
-
-
 def _reused(pool, key, compute):
     """``compute(out)`` into ``pool[key]``.  The first call keeps compute(None): the
     buffer has the layout NumPy picks, so later calls sum to the same bits.
@@ -305,8 +300,6 @@ def _reused(pool, key, compute):
         return compute(None)
     if key in pool:
         return compute(pool[key])
-    if len(pool) >= SCRATCH_BUFFERS:
-        pool.clear()
     pool[key] = compute(None)
     return pool[key]
 

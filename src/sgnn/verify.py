@@ -43,20 +43,6 @@ from .model import (
     output_bound,
 )
 
-GRADIENT_MC = "gradient_mc"
-PAIRWISE_FD = "pairwise_fd"
-
-
-@dataclass
-class LipschitzEstimate:
-    """Estimated Lipschitz constant of one filter's frequency response."""
-
-    c_l: float
-    domain_radius: float
-    samples_used: int
-    method: str
-    coefficient_bound: float = 0.0
-
 
 @dataclass
 class BoundReport:
@@ -122,47 +108,32 @@ def coefficient_majorant(coeffs, lambda_max: float) -> float:
 
 
 def estimate_lipschitz(coeffs, lambda_max: float, n_samples: int,
-                       rng: np.random.Generator,
-                       method: str = GRADIENT_MC) -> LipschitzEstimate:
-    """Lipschitz constant of h over the box [-lambda_max, lambda_max]^K.
+                       rng: np.random.Generator) -> float:
+    """Lipschitz constant C_L of h over the box [-lambda_max, lambda_max]^K.
 
-    GradientMC maximizes the analytic gradient norm over sampled points (plus
-    the box corners); PairwiseFiniteDiff maximizes secant slopes between
-    sampled pairs.  Both record the analytic coefficient majorant, which
-    dominates either estimate on the same domain.
+    The maximum of the analytic gradient norm over sampled points plus the
+    box corners; ``coefficient_majorant`` dominates it on the same domain.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     k = coeffs.shape[0] - 1
     if k == 0:
-        return LipschitzEstimate(0.0, lambda_max, 0, method, 0.0)
+        return 0.0
     if n_samples < 100:
         raise ConfigError("need at least 100 samples for a Lipschitz estimate")
-    major = coefficient_majorant(coeffs, lambda_max)
     pts = _domain_samples(k, lambda_max, n_samples, rng)
-    if method == GRADIENT_MC:
-        grads = frequency_response_gradient(coeffs, pts)
-        c_l = float(np.max(np.linalg.norm(grads, axis=-1)))
-        return LipschitzEstimate(c_l, lambda_max, pts.shape[0], method, major)
-    if method == PAIRWISE_FD:
-        other = rng.uniform(-lambda_max, lambda_max, size=pts.shape)
-        num = np.abs(frequency_response(coeffs, pts) - frequency_response(coeffs, other))
-        den = np.linalg.norm(pts - other, axis=-1)
-        ok = den > 1e-12
-        c_l = float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
-        return LipschitzEstimate(c_l, lambda_max, pts.shape[0], method, major)
-    raise ConfigError(f"unknown Lipschitz method {method!r}")
+    grads = frequency_response_gradient(coeffs, pts)
+    return float(np.max(np.linalg.norm(grads, axis=-1)))
 
 
 def model_lipschitz(params: SgnnParams, lambda_max: float, n_samples: int,
                     rng: np.random.Generator, reduce: str = "max") -> float:
-    """Aggregate GradientMC Lipschitz estimate over every filter in the net."""
+    """Aggregate Lipschitz estimate over every filter in the net."""
     values = []
     for taps in params.taps:
         f_out, f_in, _ = taps.shape
         for f in range(f_out):
             for g in range(f_in):
-                est = estimate_lipschitz(taps[f, g], lambda_max, n_samples, rng)
-                values.append(est.c_l)
+                values.append(estimate_lipschitz(taps[f, g], lambda_max, n_samples, rng))
     return float(np.max(values) if reduce == "max" else np.mean(values))
 
 
@@ -228,7 +199,7 @@ def check_variance_bound(params: SgnnParams, gres: GresModel, x: np.ndarray,
     """Empirical plug-in variance vs. the closed-form cap.
 
     Assumes the unit-response regime: taps are rescaled internally and the
-    Lipschitz constant (if not given) is the GradientMC maximum over all
+    Lipschitz constant (if not given) is the sampled maximum over all
     filters on the matching domain.
     """
     arch = params.arch
@@ -379,13 +350,13 @@ def check_output_bound(params: SgnnParams, gres: GresModel, draws: int,
 
 
 def check_lipschitz_majorant(order: int, draws: int, rng: np.random.Generator) -> BoundReport:
-    """GradientMC estimates never exceed the analytic coefficient majorant."""
+    """Sampled Lipschitz estimates never exceed the analytic coefficient majorant."""
     worst = -math.inf
     for _ in range(draws):
         coeffs = rng.normal(size=order + 1)
         lam_max = float(rng.uniform(0.5, 1.5))
-        est = estimate_lipschitz(coeffs, lam_max, 500, rng)
-        worst = max(worst, est.c_l - est.coefficient_bound)
+        c_l = estimate_lipschitz(coeffs, lam_max, 500, rng)
+        worst = max(worst, c_l - coefficient_majorant(coeffs, lam_max))
     return BoundReport(
         "lipschitz", worst, 0.0, 0.0,
         inputs={"order": order, "draws": draws},

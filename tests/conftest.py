@@ -3,7 +3,8 @@ import pytest
 
 from sgnn import experiments as X
 from sgnn import graphs as G
-from sgnn.model import PER_FILTER, Architecture, Realizations, init_params
+from sgnn.estimators import McConfig, sample_stack
+from sgnn.model import PER_FILTER, Architecture, Realizations, forward_stack, init_params
 
 
 def random_symmetric(n, rng, scale=0.25):
@@ -31,6 +32,15 @@ def small_gres(n=6, p=0.3, q=0.2, kind=G.ADJACENCY, seed=0, normalize=True):
     absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
     adds = tuple((i, j, 0.5) for i, j in absent[:2]) if q > 0 else ()
     return G.GresModel(s, drop_edges=edges[:n_drop], add_edges=adds, p=p, q=q)
+
+
+def mc_cost(params, gres, batch, cfg: McConfig, loss, mode=PER_FILTER) -> float:
+    """Empirical expected cost along the training path: ``cfg.n_realizations``
+    sequences, a tape-free forward pass, and the mean batch loss over them."""
+    stack = sample_stack(gres, params.arch, cfg.n_realizations, cfg.rng(), mode)
+    tape = forward_stack(params, stack, batch.x, keep_tape=False)
+    return float(loss.value(tape.logits if tape.logits is not None else tape.output[:, 0],
+                            batch))
 
 
 @pytest.fixture

@@ -86,7 +86,7 @@ def recsys_artifacts(tmp_path_factory):
                        grad_norm_tol=0.0, c_f=0.0, c_s=0.5, mode=T.UNCONSTRAINED)
 
     def one(p):
-        task = X.build_recsys_task(ratings, X.RecsysConfig(p=p, max_samples=4000))
+        task = X.build_recsys_task(ratings, X.RecsysConfig(max_samples=4000), p)
         params0 = init_params(arch, R.derive(SEED, 20), n=task.graph.n)
         params, _, trace = T.train(params0, task.gres, task.dataset, tc, R.derive(SEED, 21))
         return p, (task, params, trace)

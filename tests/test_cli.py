@@ -55,6 +55,23 @@ class TestTrainCommand:
                        "--override", f"{key}=1"])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["recsys.p", "recsys.center", "recsys.shuffle_seed",
+                                     "recsys.split_fractions", "source.q"])
+    def test_removed_config_key_exits_two(self, tiny_config, tmp_path, capsys, key):
+        rc = cli.main(["train", "--config", tiny_config, "--out", str(tmp_path / "out"),
+                       "--override", f"{key}=0"])
+        assert rc == cli.EXIT_CONFIG
+        assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("sweep.p_values", "0.1"),
+                                            ("sweep.modes", "primal_dual")])
+    def test_sweep_value_that_is_not_a_list_exits_two(self, tiny_config, tmp_path, capsys,
+                                                       key, value):
+        rc = cli.main(["train", "--config", tiny_config, "--out", str(tmp_path / "out"),
+                       "--override", f"{key}={value}"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key} must be a list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("full", [{"source": {"bogus": 1}}, {"bogus": 1}],
                              ids=["full.source.bogus", "full.bogus"])
     @pytest.mark.parametrize("flags", [[], ["--full"]], ids=["desk", "full"])
@@ -209,6 +226,16 @@ class TestVerifyCommand:
             blobs.append((out / "verify.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_overwrite_writes_moments_afresh(self, tmp_path):
+        out = tmp_path / "v"
+        files = []
+        for _ in range(2):
+            assert cli.main(["verify", "--out", str(out), "--only", "variance-bound",
+                             "--overwrite"]) == cli.EXIT_OK
+            files.append((out / "moments.csv").read_bytes())
+        assert files[0] == files[1]
+        assert len(files[1].splitlines()) == 2
+
 
 class TestGenDataAndEval:
     def test_gen_data_source_localization(self, tiny_config, tmp_path):
@@ -223,7 +250,7 @@ class TestGenDataAndEval:
     def test_gen_data_recsys_writes_ratings(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "schema": 1, "task": "recsys",
-            "recsys": {"keep_top": 10, "add_next": 5, "p": 0.1},
+            "recsys": {"keep_top": 10, "add_next": 5},
         })
         out = tmp_path / "d"
         # synthetic ratings generation at full scale is a few seconds
@@ -235,7 +262,7 @@ class TestGenDataAndEval:
     def test_gen_data_recsys_graph_uses_the_first_sweep_p(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "schema": 1, "task": "recsys",
-            "recsys": {"keep_top": 10, "add_next": 5, "p": 0.1},
+            "recsys": {"keep_top": 10, "add_next": 5},
             "sweep": {"p_values": [0.05, 0.1]},
         })
         out = tmp_path / "d"

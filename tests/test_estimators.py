@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import small_gres
+from conftest import mc_cost, small_gres
 from sgnn import estimators as E
 from sgnn import graphs as G
 from sgnn import rng as R
@@ -48,7 +48,7 @@ class TestSampleRealizationSeq:
         arch = Architecture((1, 3, 1), 2)
         seq = E.sample_stack(gres, arch, 1, rng, mode=SHARED)
         assert seq.dense(0).shape == (1, 2, gres.n, gres.n)
-        assert seq.total == arch.shift_count(SHARED)
+        assert sum(a[0, ..., 0].size for a in seq.layers) == arch.shift_count(SHARED)
         for k in (1, 2):
             np.testing.assert_array_equal(seq.shift(0, 2, 0, k), seq.shift(0, 0, 0, k))
 
@@ -66,8 +66,8 @@ class TestEstimateCost:
         t = rng.normal(size=(gres.n, 4))
         batch = Batch(x, t, np.ones((gres.n, 4)))
         loss = Loss("masked_mse")
-        a = E.estimate_cost(params, gres, batch, E.McConfig(1, master_seed=0), loss)
-        b = E.estimate_cost(params, gres, batch, E.McConfig(1, master_seed=99), loss)
+        a = mc_cost(params, gres, batch, E.McConfig(1, master_seed=0), loss)
+        b = mc_cost(params, gres, batch, E.McConfig(1, master_seed=99), loss)
         assert a == pytest.approx(b)
 
     def test_zero_loss_via_empty_mask(self, rng):
@@ -75,8 +75,7 @@ class TestEstimateCost:
         params = init_params(Architecture((1, 2, 1), 2), rng)
         batch = Batch(rng.normal(size=(1, gres.n, 3)),
                       rng.normal(size=(gres.n, 3)), np.zeros((gres.n, 3)))
-        val = E.estimate_cost(params, gres, batch, E.McConfig(5, master_seed=1),
-                              Loss("masked_mse"))
+        val = mc_cost(params, gres, batch, E.McConfig(5, master_seed=1), Loss("masked_mse"))
         assert val == 0.0
 
     def test_enumeration_vs_monte_carlo(self, rng):
@@ -92,7 +91,7 @@ class TestEstimateCost:
         loss = Loss("masked_mse")
         exact = E.enumerate_cost(params, gres, batch, loss)
         draws = np.array([
-            E.estimate_cost(params, gres, batch, E.McConfig(100, master_seed=i), loss)
+            mc_cost(params, gres, batch, E.McConfig(100, master_seed=i), loss)
             for i in range(100)
         ])
         se = draws.std(ddof=1) / 10.0
@@ -211,14 +210,14 @@ class TestConvergenceRate:
 
 
 class TestMomentsCsv:
-    def test_appends_with_header_once(self, tmp_path, rng):
+    def test_writes_the_header_and_one_row_afresh(self, tmp_path, rng):
         gres = small_gres(p=0.2)
         params = init_params(Architecture((1, 2, 1), 1), rng)
         rep = E.estimate_moments(params, gres, rng.normal(size=gres.n),
                                  E.McConfig(16, master_seed=0))
         path = tmp_path / "moments.csv"
-        E.append_moments_row(path, 0.2, 0.0, rep)
-        E.append_moments_row(path, 0.3, 0.0, rep)
+        E.write_moments(path, 0.2, 0.0, rep)
+        E.write_moments(path, 0.3, 0.0, rep)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(E.MOMENTS_COLUMNS)
-        assert len(lines) == 3
+        assert len(lines) == 2 and lines[1].startswith("0.3,0.0,16,")

@@ -185,18 +185,18 @@ class TestMovieLens:
 
 class TestRecsysTask:
     def test_edge_set_sizes(self, small_ratings):
-        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.1))
+        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.1)
         assert task.gres.m_drop == 15
         assert task.gres.m_add == 8
         assert task.gres.p == task.gres.q == 0.1
 
     def test_p_zero_deterministic(self, small_ratings):
-        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.0))
+        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.0)
         a = G.sample_gres_batch(task.gres, 1, np.random.default_rng(0))[0]
         np.testing.assert_array_equal(a, task.gres.nominal.entries)
 
     def test_holdout_semantics(self, small_ratings):
-        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.1))
+        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.1)
         ds = task.dataset
         for k in range(min(50, ds.size)):
             node = task.sample_items[k]
@@ -208,14 +208,13 @@ class TestRecsysTask:
             assert ds.masks[k].sum() == 1.0
 
     def test_single_rating_users_excluded(self, small_ratings):
-        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8, p=0.1))
+        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.1)
         counts = (task.ratings_sub != 0).sum(axis=1)
         for u in np.unique(task.sample_users):
             assert counts[u] >= 2
 
     def test_nominal_and_added_edges_share_one_scale(self, small_ratings):
-        cfg = X.RecsysConfig(keep_top=15, add_next=8, p=0.1)
-        task = X.build_recsys_task(small_ratings, cfg)
+        task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.1)
         shift = G.build_shift(task.graph, G.ADJACENCY)
         rho = G.ShiftOperator(shift.n, shift.entries.copy(), shift.kind).spectral_radius()
         np.testing.assert_allclose(task.gres.nominal.entries, shift.entries / rho, rtol=1e-12)

@@ -55,6 +55,20 @@ def test_leaky_relu_is_bitwise_the_masked_multiply(slope, rng):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("slope", [0.01, -0.3, 1.9999, -1.9999, 3.0])
+def test_leaky_relu_derivative_is_bitwise_the_masked_fill(slope, rng):
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 7 * tiny, -7 * tiny, 2e-308, -2e-308, np.nan, -np.inf]
+    u = np.concatenate([edges, rng.normal(size=500)]).reshape(2, 5, 51)
+    want = np.full_like(u, slope)
+    np.copyto(want, 1.0, where=u > 0)
+    _, deriv = M._activation_fns(
+        M.Architecture((1, 1), 0, activation="leaky_relu", leaky_slope=slope))
+    out = np.full_like(u, np.nan)
+    assert deriv(u, out) is out
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+
 class TestFilterApply:
     def test_order_zero_scales_input(self, rng):
         x = rng.normal(size=5)
@@ -306,7 +320,8 @@ class TestArchitectureCounts:
     def test_seq_total_matches_count(self, rng):
         arch = M.Architecture((2, 3, 2), 2)
         seq = random_seq(arch, 4, rng)
-        assert seq.total == arch.shift_count(M.PER_FILTER)
+        # one n x n shift per position after the leading realization axis
+        assert sum(a[0, ..., 0, 0].size for a in seq.layers) == arch.shift_count(M.PER_FILTER)
 
     def test_invalid_architectures_rejected(self):
         with pytest.raises(ConfigError):

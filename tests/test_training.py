@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import small_gres
+from conftest import mc_cost, small_gres
 from sgnn import rng as R
 from sgnn import training as T
 from sgnn.errors import ConfigError, NumericalError, TrainingDiverged
-from sgnn.estimators import McConfig, estimate_cost
+from sgnn.estimators import McConfig
 from sgnn.model import Architecture, SgnnParams, init_params
 
 
@@ -133,8 +133,7 @@ class TestLagrangian:
         cfg = T.TrainConfig(n_realizations=4, loss="masked_mse")
         value, _ = T.lagrangian(params, T.DualVars(0.0, 0.0), gres, batch, cfg,
                                 R.root_rng(17))
-        cost = estimate_cost(params, gres, batch, McConfig(4, master_seed=17),
-                             T.Loss("masked_mse"))
+        cost = mc_cost(params, gres, batch, McConfig(4, master_seed=17), T.Loss("masked_mse"))
         assert value == cost
 
     def test_zero_cost_reduces_to_slack_term(self, rng):
