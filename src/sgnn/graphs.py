@@ -110,7 +110,7 @@ class ShiftOperator:
     def spectral_radius(self) -> float:
         """Largest |eigenvalue|; computed once and cached."""
         if self._rho_cache[0] is None:
-            self._rho_cache[0] = _power_spectral_radius(self.entries)
+            self._rho_cache[0] = float(np.abs(np.linalg.eigvalsh(self.entries)).max(initial=0.0))
         return self._rho_cache[0]
 
     def edges(self) -> tuple:
@@ -143,36 +143,6 @@ def build_shift(graph: Graph, kind: str) -> ShiftOperator:
         return ShiftOperator(graph.n, a, ADJACENCY)
     lap = np.diag(a.sum(axis=1)) - a
     return ShiftOperator(graph.n, lap, LAPLACIAN)
-
-
-def _power_spectral_radius(m: np.ndarray, tol=1e-14, max_iters=5000) -> float:
-    """Spectral radius of a symmetric matrix by power iteration on m @ m.
-
-    Working on the square sidesteps the +/- dominant-eigenvalue pair of
-    bipartite adjacencies; the Rayleigh quotient of m^2 converges to rho^2.
-    """
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return 0.0
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    rho_sq = 0.0
-    for _ in range(max_iters):
-        w = m @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        rho_new = float(v_new @ (m @ (m @ v_new)))
-        if abs(rho_new - rho_sq) <= tol * max(rho_new, scale * scale):
-            rho_sq = rho_new
-            break
-        rho_sq = rho_new
-        v = v_new
-    return math.sqrt(max(rho_sq, 0.0))
 
 
 def normalize_shift(shift: ShiftOperator) -> ShiftOperator:

@@ -34,6 +34,8 @@ class TestBuildShift:
     def test_empty_graph_zero_matrix(self):
         s = G.build_shift(G.Graph(3), G.ADJACENCY)
         np.testing.assert_array_equal(s.entries, np.zeros((3, 3)))
+        assert s.spectral_radius() == 0.0
+        assert G.build_shift(G.Graph(0), G.ADJACENCY).spectral_radius() == 0.0
 
     def test_rejects_self_loop_and_duplicates(self):
         with pytest.raises(GraphError):
