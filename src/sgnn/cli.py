@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -141,8 +142,7 @@ def _build(section: dict, cls, where: str):
 
 
 TOP_KEYS = ("schema", "task", "architecture", "train", "source", "recsys",
-            "sweep", "ratings_path", "eval_draws", "cost_window", "verify",
-            "cv_values", "full")
+            "sweep", "ratings_path", "eval_draws", "cost_window", "cv_values", "full")
 
 
 def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> ExperimentConfig:
@@ -161,6 +161,11 @@ def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> Experim
         if not isinstance(values, list):
             raise ConfigError(f"sweep.{key} must be a list, got {values!r}")
         kwargs[key] = tuple(values)
+    cv_values = doc.get("cv_values", [])
+    if not isinstance(cv_values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < float("inf")
+            for v in cv_values):
+        raise ConfigError(f"cv_values must be a list of finite numbers >= 0, got {cv_values!r}")
     if "architecture" in doc:
         kwargs["arch"] = _build(doc["architecture"], Architecture, "architecture")
     return ExperimentConfig(
@@ -260,17 +265,25 @@ def _default_verify_fixture(seed: int):
     return gres, params, x
 
 
+def _remove_verify_outputs(out_dir) -> None:
+    """Delete ``moments.csv`` and the per-check JSON reports of an earlier run,
+    so that a narrower rerun leaves none of them behind."""
+    reports = os.path.join(out_dir, "reports")
+    pattern = re.compile("(%s)(-[0-9]+)?[.]json" % "|".join(VERIFY_CHECKS))
+    names = os.listdir(reports) if os.path.isdir(reports) else []
+    stale = [os.path.join(reports, f) for f in names if pattern.fullmatch(f)]
+    for path in stale + [os.path.join(out_dir, "moments.csv")]:
+        if os.path.isfile(path):
+            os.remove(path)
+
+
 def cmd_verify(args) -> int:
-    doc = load_config(args.config, args.override, args.full) if args.config else {"schema": 1}
-    vdoc = doc.get("verify", {})
-    _check_keys(vdoc, ("bound_scale", "n_realizations", "eps_grid", "stability_trials"),
-                "verify")
-    bound_scale = float(vdoc.get("bound_scale", 1.0))
-    n_real = int(vdoc.get("n_realizations", 400))
     only = args.only
     if only is not None and only not in VERIFY_CHECKS:
         raise ConfigError(f"unknown check {only!r}; available: {', '.join(VERIFY_CHECKS)}")
     _prepare_out_dir(args.out, args.overwrite, ["verify.csv", "moments.csv"])
+    if args.overwrite:
+        _remove_verify_outputs(args.out)
     gres, params, x = _default_verify_fixture(args.seed)
     reports: list[BoundReport] = []
 
@@ -280,22 +293,18 @@ def cmd_verify(args) -> int:
     if want("moment-formula"):
         reports.append(check_moment_formula(gres))
     if want("variance-bound"):
-        cfg = McConfig(n_real, master_seed=args.seed)
+        cfg = McConfig(400, master_seed=args.seed)
         reports.append(check_variance_bound(params, gres, x, cfg))
         rep = estimate_moments(params, gres, x, cfg)
         write_moments(os.path.join(args.out, "moments.csv"), gres.p, gres.q, rep)
     if want("chebyshev"):
-        cfg = McConfig(max(200, n_real), master_seed=args.seed + 1)
-        var = estimate_moments(params, gres, x, cfg).variance
-        base = var if var > 0 else 1e-6
-        eps_grid = vdoc.get("eps_grid") or [base * s for s in (0.5, 1, 2, 5, 10, 30, 100, 300)]
-        reports.extend(check_chebyshev(params, gres, x, eps_grid, cfg))
+        reports.extend(check_chebyshev(params, gres, x, (0.5, 1, 2, 5, 10, 30, 100, 300),
+                                       McConfig(400, master_seed=args.seed + 1)))
     if want("output-bound"):
         reports.append(check_output_bound(params, gres, 200, rngmod.derive(args.seed, 13)))
     if want("stability"):
-        trials = int(vdoc.get("stability_trials", 30))
         reports.append(check_stability(params, gres.nominal, [1e-3, 3e-3, 1e-2],
-                                       trials, rngmod.derive(args.seed, 14)))
+                                       30, rngmod.derive(args.seed, 14)))
     if want("lipschitz"):
         reports.append(check_lipschitz_majorant(3, 50, rngmod.derive(args.seed, 15)))
     if want("convergence"):
@@ -308,9 +317,6 @@ def cmd_verify(args) -> int:
         reports.append(BoundReport("convergence", 0.0, diag.error_radius, 0.0,
                                    inputs={"t_bound": diag.t_bound,
                                            "xi_proxy": diag.xi_estimate}))
-    if bound_scale != 1.0:
-        reports = [BoundReport(r.check_name, r.empirical, r.bound * bound_scale,
-                               r.stderr, r.inputs) for r in reports]
     write_reports(reports, os.path.join(args.out, "verify.csv"),
                   os.path.join(args.out, "reports"))
     violated = [r for r in reports if r.violated]
@@ -410,30 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_config=True):
         if needs_config:
-            p.add_argument("--config", required=needs_config == "required", default=None)
+            p.add_argument("--config", required=True)
+            p.add_argument("--override", action="append", default=[], metavar="K=V")
+            p.add_argument("--full", action="store_true",
+                           help="merge the config's full-scale section before the overrides")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--override", action="append", default=[], metavar="K=V")
-        p.add_argument("--full", action="store_true",
-                       help="merge the config's full-scale section before the overrides")
         p.add_argument("--overwrite", action="store_true")
 
     p_train = sub.add_parser("train", help="run one training per the config")
-    common(p_train, needs_config="required")
+    common(p_train)
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint over a p sweep")
-    common(p_eval, needs_config="required")
+    common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the closed-form check suite")
-    common(p_verify, needs_config=True)
+    common(p_verify, needs_config=False)
     p_verify.add_argument("--only", default=None, metavar="NAME")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_gen = sub.add_parser("gen-data", help="materialize datasets to disk")
-    common(p_gen, needs_config="required")
+    common(p_gen)
     p_gen.set_defaults(fn=cmd_gen_data)
 
     p_rep = sub.add_parser("report", help="aggregate results into figure CSVs")
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(fn=cmd_report)
 
     p_sweep = sub.add_parser("sweep", help="full experiment sweep (results.csv)")
-    common(p_sweep, needs_config="required")
+    common(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     return parser

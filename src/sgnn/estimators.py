@@ -53,22 +53,11 @@ class MomentReport:
     constraints bound.
     """
 
-    mean_cost: float | None
     first_moment: float
     second_moment: float
     variance: float
     per_node_variance: np.ndarray
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_cost": self.mean_cost,
-            "first_moment": self.first_moment,
-            "second_moment": self.second_moment,
-            "variance": self.variance,
-            "per_node_variance": [float(v) for v in self.per_node_variance],
-            "n_samples": self.n_samples,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +115,18 @@ def plugin_variance(phi: np.ndarray) -> np.ndarray:
 
 
 def estimate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
-                     cfg: McConfig, mode: str = PER_FILTER) -> MomentReport:
+                     cfg: McConfig) -> MomentReport:
     """First/second output moments and plug-in variance for one input."""
     if cfg.n_realizations < 2:
         raise ConfigError("plug-in variance needs at least two realizations")
     rng = cfg.rng()
-    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng, mode)
+    stack = sample_stack(gres, params.arch, cfg.n_realizations, rng)
     tape = forward_stack(params, stack, _single_input(x), keep_tape=False)
     phi = _phi(tape)[:, :, 0]                    # (N, n)
     m1 = phi.mean(axis=0)
     m2 = (phi * phi).mean(axis=0)
     per_node = plugin_variance(phi)
     return MomentReport(
-        mean_cost=None,
         first_moment=float(m1.mean()),
         second_moment=float(m2.mean()),
         variance=float(per_node.mean()),
@@ -149,8 +137,7 @@ def estimate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
 
 def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
                           eps: float, m_realizations: int,
-                          rng: np.random.Generator,
-                          mode: str = PER_FILTER) -> float:
+                          rng: np.random.Generator) -> float:
     """Empirical Pr[(1/n) ||Phi - E Phi||^2 <= eps].
 
     The reference expectation comes from an independent batch of the same
@@ -159,9 +146,9 @@ def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
     if m_realizations < 100:
         raise ConfigError("need at least 100 realizations for a deviation probability")
     xb = _single_input(x)
-    ref_stack = sample_stack(gres, params.arch, m_realizations, rng, mode)
+    ref_stack = sample_stack(gres, params.arch, m_realizations, rng)
     ref = _phi(forward_stack(params, ref_stack, xb, keep_tape=False))[:, :, 0].mean(axis=0)
-    stack = sample_stack(gres, params.arch, m_realizations, rng, mode)
+    stack = sample_stack(gres, params.arch, m_realizations, rng)
     phi = _phi(forward_stack(params, stack, xb, keep_tape=False))[:, :, 0]
     sq = np.mean((phi - ref) ** 2, axis=1)
     return float(np.mean(sq <= eps))
@@ -172,40 +159,38 @@ def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_sequences(gres: GresModel, arch: Architecture, mode: str = PER_FILTER,
-                        limit: int = 4096):
-    """Yield (probability, one-sequence Realizations) over every realization sequence."""
-    p = arch.shift_count(mode)
+def enumerate_sequences(gres: GresModel, arch: Architecture):
+    """Yield (probability, one-sequence Realizations) over every realization
+    sequence, of which there may be at most 4096."""
+    p = arch.shift_count(PER_FILTER)
     bits, probs = enumerate_masks(gres)
     total = probs.size ** p
-    if total > limit:
+    if total > 4096:
         raise GraphError(f"sequence space of size {total} exceeds enumeration limit")
     for combo in itertools.product(range(probs.size), repeat=p):
         prob = 1.0
         for c in combo:
             prob *= float(probs[c])
-        yield prob, Realizations.from_rows(arch, mode, gres.n, bits[list(combo)], gres)
+        yield prob, Realizations.from_rows(arch, PER_FILTER, gres.n, bits[list(combo)], gres)
 
 
-def enumerate_cost(params: SgnnParams, gres: GresModel, batch, loss,
-                   mode: str = PER_FILTER) -> float:
+def enumerate_cost(params: SgnnParams, gres: GresModel, batch, loss) -> float:
     """Probability-weighted exact expected cost over all sequences."""
     total = 0.0
-    for prob, seq in enumerate_sequences(gres, params.arch, mode):
+    for prob, seq in enumerate_sequences(gres, params.arch):
         tape = forward_stack(params, seq, batch.x, keep_tape=False)
         pred = tape.logits if tape.logits is not None else _phi(tape)
         total += prob * float(loss.value(pred, batch))
     return total
 
 
-def enumerate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray,
-                      mode: str = PER_FILTER):
+def enumerate_moments(params: SgnnParams, gres: GresModel, x: np.ndarray):
     """Exact per-node first/second moments (and variance) by enumeration."""
     xb = _single_input(x)
     n = gres.n
     m1 = np.zeros(n)
     m2 = np.zeros(n)
-    for prob, seq in enumerate_sequences(gres, params.arch, mode):
+    for prob, seq in enumerate_sequences(gres, params.arch):
         phi = _phi(forward_stack(params, seq, xb, keep_tape=False))[0, :, 0]
         m1 += prob * phi
         m2 += prob * phi * phi
@@ -221,11 +206,11 @@ MOMENTS_COLUMNS = ["p", "q", "N", "mean_cost", "first_moment", "second_moment", 
 
 
 def write_moments(path, p: float, q: float, report: MomentReport) -> None:
-    """Write moments.csv afresh: the header and one verification row."""
+    """Write moments.csv afresh: the header and one verification row, whose
+    ``mean_cost`` cell stays empty."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MOMENTS_COLUMNS)
-        cost = "" if report.mean_cost is None else repr(report.mean_cost)
-        writer.writerow([repr(p), repr(q), report.n_samples, cost,
+        writer.writerow([repr(p), repr(q), report.n_samples, "",
                          repr(report.first_moment), repr(report.second_moment),
                          repr(report.variance)])

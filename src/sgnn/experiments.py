@@ -184,19 +184,18 @@ def gen_source_localization(cfg: SourceLocConfig, rng: np.random.Generator):
     return graph, gres, LabeledDataset(inputs, src.astype(int), None, splits)
 
 
-def gen_source_denoising(cfg: SourceLocConfig, rng: np.random.Generator,
-                         target_m2: float = 1.5):
+def gen_source_denoising(cfg: SourceLocConfig, rng: np.random.Generator):
     """Regression variant: recover the clean diffusion pattern from noise.
 
     Same signals as the classification task, but the label is the noiseless
     diffused delta and there is no readout, so the output scale is pinned by
     the targets (scaled so the per-node second moment of the train targets
-    is ``target_m2``).  Used by the variance-budget sweeps, where a free
+    is 1.5).  Used by the variance-budget sweeps, where a free
     readout scale would otherwise absorb the moment constraints.
     """
     graph, gres, _, clean, inputs, splits = _source_signals(cfg, rng)
     n_train = splits["train"].size
-    t_scale = math.sqrt(target_m2 / max(np.mean(clean[:n_train] ** 2), 1e-12))
+    t_scale = math.sqrt(1.5 / max(np.mean(clean[:n_train] ** 2), 1e-12))
     targets = clean * t_scale
     return graph, gres, LabeledDataset(inputs, targets, np.ones_like(targets), splits)
 

@@ -73,11 +73,11 @@ class Graph:
             if not math.isfinite(w):
                 raise GraphError(f"non-finite weight on edge ({i},{j})")
 
-    def degree(self, weighted=True):
+    def degree(self):
         d = np.zeros(self.n)
         for i, j, w in self.edges:
-            d[i] += w if weighted else 1.0
-            d[j] += w if weighted else 1.0
+            d[i] += w
+            d[j] += w
         return d
 
 

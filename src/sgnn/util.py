@@ -5,13 +5,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConfigError
+
 
 def worker_count() -> int:
     """Worker cap from the SGNN_THREADS environment variable (default 1)."""
+    raw = os.environ.get("SGNN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SGNN_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"SGNN_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def parallel_map(fn, items):

@@ -25,13 +25,7 @@ from .estimators import (
     estimate_moments,
     sample_stack,
 )
-from .graphs import (
-    GresModel,
-    ShiftOperator,
-    enumerate_gres,
-    expected_square,
-    sample_gres_batch,
-)
+from .graphs import GresModel, ShiftOperator, enumerate_gres, expected_square
 from .model import (
     PER_FILTER,
     Realizations,
@@ -137,25 +131,24 @@ def model_lipschitz(params: SgnnParams, lambda_max: float, n_samples: int,
 
 
 def rescale_to_unit_response(params: SgnnParams, lambda_max: float,
-                             rng: np.random.Generator, n_samples: int = 2048,
-                             margin: float = 1.05) -> SgnnParams:
+                             rng: np.random.Generator) -> SgnnParams:
     """Shrink each filter so its sampled |h(lambda)| stays within 1.
 
-    Filters already inside the unit response are left untouched; the margin
-    guards against the sampled maximum undershooting the true one.
+    Filters already inside the unit response are left untouched; the 5 %
+    margin guards against the sampled maximum undershooting the true one.
     """
     new_taps = []
     for taps in params.taps:
         t = taps.copy()
         f_out, f_in, k1 = t.shape
-        pts = _domain_samples(k1 - 1, lambda_max, n_samples, rng) if k1 > 1 else None
+        pts = _domain_samples(k1 - 1, lambda_max, 2048, rng) if k1 > 1 else None
         for f in range(f_out):
             for g in range(f_in):
                 if pts is None:
                     peak = abs(t[f, g, 0])
                 else:
                     peak = float(np.max(np.abs(frequency_response(t[f, g], pts))))
-                scale = max(1.0, margin * peak)
+                scale = max(1.0, 1.05 * peak)
                 t[f, g] = t[f, g] / scale
         new_taps.append(t)
     return params.replace_arrays(new_taps + params.arrays()[len(new_taps):])
@@ -181,35 +174,27 @@ def variance_bound(c_l: float, m_drop: int, m_add: int, p: float, q: float,
     return float(c_l ** 2 * stochastic * c * x_norm ** 2)
 
 
-def _plugin_variance_with_stderr(params, gres, x, cfg: McConfig, groups: int = 10):
-    """Plug-in variance plus a batch-means standard error."""
-    report = estimate_moments(params, gres, x, cfg)
-    group_size = max(2, cfg.n_realizations // groups)
-    vals = []
-    for g in range(groups):
-        sub = McConfig(group_size, master_seed=cfg.master_seed * 1000003 + 17 + g)
-        vals.append(estimate_moments(params, gres, x, sub).variance)
-    return report.variance, float(np.std(vals, ddof=1) / math.sqrt(groups)), report
-
-
 def check_variance_bound(params: SgnnParams, gres: GresModel, x: np.ndarray,
-                         cfg: McConfig, c_l: float | None = None,
-                         rng: np.random.Generator | None = None) -> BoundReport:
+                         cfg: McConfig) -> BoundReport:
     """Empirical plug-in variance vs. the closed-form cap.
 
     Assumes the unit-response regime: taps are rescaled internally and the
-    Lipschitz constant (if not given) is the sampled maximum over all
-    filters on the matching domain.
+    Lipschitz constant is the sampled maximum over all filters on the
+    matching domain.  The standard error comes from ten batch means.
     """
     arch = params.arch
     if arch.lipschitz_sigma() != 1.0:
         raise ConfigError("the variance bound check needs a 1-Lipschitz nonlinearity")
-    rng = rng if rng is not None else np.random.default_rng(cfg.master_seed + 7)
+    rng = np.random.default_rng(cfg.master_seed + 7)
     lambda_max = gres.nominal.spectral_radius()
     params = rescale_to_unit_response(params, lambda_max, rng)
-    if c_l is None:
-        c_l = model_lipschitz(params, lambda_max, 4096, rng)
-    variance, stderr, _ = _plugin_variance_with_stderr(params, gres, x, cfg)
+    c_l = model_lipschitz(params, lambda_max, 4096, rng)
+    variance = estimate_moments(params, gres, x, cfg).variance
+    group_size = max(2, cfg.n_realizations // 10)
+    seeds = [cfg.master_seed * 1000003 + 17 + g for g in range(10)]
+    vals = [estimate_moments(params, gres, x, McConfig(group_size, master_seed=s)).variance
+            for s in seeds]
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(10))
     width = max(arch.features[1:-1] or arch.features[-1:])
     bound = variance_bound(
         c_l, gres.m_drop, gres.m_add, gres.p, gres.q, arch.order, arch.layers,
@@ -222,55 +207,44 @@ def check_variance_bound(params: SgnnParams, gres: GresModel, x: np.ndarray,
 
 
 def check_chebyshev(params: SgnnParams, gres: GresModel, x: np.ndarray,
-                    eps_grid, cfg: McConfig) -> list:
+                    scales, cfg: McConfig) -> list:
     """Deviation-probability lower bound at each epsilon.
 
-    Reported with tail-probability orientation: empirical Pr[dev > eps] must
-    not exceed Var/eps (plus binomial noise).
+    Each epsilon is the estimated variance (1e-6 when it is zero) times one
+    of ``scales``.  Reported with tail-probability orientation: empirical
+    Pr[dev > eps] must not exceed Var/eps (plus binomial noise).
     """
-    var, _, _ = _plugin_variance_with_stderr(params, gres, x, cfg)
+    var = estimate_moments(params, gres, x, cfg).variance
+    base = var if var > 0 else 1e-6
     m = max(100, cfg.n_realizations)
     reports = []
-    for i, eps in enumerate(eps_grid):
-        if eps <= 0:
-            raise ConfigError("epsilon grid values must be positive")
+    for i, scale in enumerate(scales):
+        if scale <= 0:
+            raise ConfigError("epsilon scales must be positive")
+        eps = base * scale
         rng = np.random.default_rng(cfg.master_seed * 65537 + 101 + i)
-        prob = deviation_probability(params, gres, x, float(eps), m, rng)
+        prob = deviation_probability(params, gres, x, eps, m, rng)
         tail = 1.0 - prob
         se = math.sqrt(max(prob * (1.0 - prob), 1.0 / m) / m)
         reports.append(BoundReport(
-            "chebyshev", tail, var / float(eps), se,
-            inputs={"eps": float(eps), "variance": var, "m": m},
+            "chebyshev", tail, var / eps, se,
+            inputs={"eps": eps, "variance": var, "m": m},
         ))
     return reports
 
 
-def check_moment_formula(model: GresModel, mc_fallback: int = 20000,
-                         rng: np.random.Generator | None = None) -> BoundReport:
-    """Exhaustive (or Monte-Carlo) second moment vs. the closed form."""
+def check_moment_formula(model: GresModel) -> BoundReport:
+    """Exhaustively enumerated second moment vs. the closed form."""
     formula = expected_square(model)
-    if model.m_drop + model.m_add <= 12:
-        acc = np.zeros_like(formula)
-        for prob, mat in enumerate_gres(model):
-            acc += prob * (mat @ mat)
-        err = float(np.max(np.abs(acc - formula)))
-        return BoundReport(
-            "moment-formula", err, 1e-12, 0.0,
-            inputs={"kind": model.nominal.kind, "m_drop": model.m_drop,
-                    "m_add": model.m_add, "p": model.p, "q": model.q,
-                    "method": "enumeration"},
-        )
-    rng = rng if rng is not None else np.random.default_rng(0)
-    mats = sample_gres_batch(model, mc_fallback, rng)
-    products = np.matmul(mats, mats)
-    resid = products.mean(axis=0) - formula
-    se = products.std(axis=0, ddof=1) / math.sqrt(mc_fallback)
-    worst = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+    acc = np.zeros_like(formula)
+    for prob, mat in enumerate_gres(model):
+        acc += prob * (mat @ mat)
+    err = float(np.max(np.abs(acc - formula)))
     return BoundReport(
-        "moment-formula", float(np.abs(resid[worst])), 0.0, float(se[worst]),
+        "moment-formula", err, 1e-12, 0.0,
         inputs={"kind": model.nominal.kind, "m_drop": model.m_drop,
                 "m_add": model.m_add, "p": model.p, "q": model.q,
-                "method": "monte_carlo", "n_samples": mc_fallback},
+                "method": "enumeration"},
     )
 
 
@@ -281,21 +255,20 @@ def _random_direction(n: int, eps: float, rng: np.random.Generator) -> np.ndarra
 
 
 def check_stability(params: SgnnParams, nominal: ShiftOperator, eps_list,
-                    trials: int, rng: np.random.Generator,
-                    x: np.ndarray | None = None) -> BoundReport:
+                    trials: int, rng: np.random.Generator) -> BoundReport:
     """Small-perturbation output deviation vs. the stability constant.
 
     Every shift in the chain is perturbed by an independent random symmetric
     direction of spectral norm eps; the fitted through-origin slope of the
-    mean deviation must stay under C_B = K C_L L C_sigma^L F^(L-1) ||x||.
+    mean deviation must stay under C_B = K C_L L C_sigma^L F^(L-1) ||x|| for
+    a random unit input x.
     """
     arch = params.arch
     n = nominal.n
     rho = nominal.spectral_radius()
     params = rescale_to_unit_response(params, rho, rng)
-    if x is None:
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
+    x = rng.normal(size=n)
+    x /= np.linalg.norm(x)
     x_norm = float(np.linalg.norm(x))
     c_l = model_lipschitz(params, rho + max(eps_list), 4096, rng)
     width_product = 1.0

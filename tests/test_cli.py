@@ -107,6 +107,24 @@ class TestTrainCommand:
         assert "training diverged at iteration 1: non-finite" in capsys.readouterr().err
         assert [r["iter"] for r in TrainTrace.from_csv(out / "trace.csv").rows] == [0]
 
+    def test_verify_section_is_refused(self, tiny_config, tmp_path, capsys):
+        with open(tiny_config) as f:
+            doc = json.load(f)
+        cfg = write_config(tmp_path / "v.json", dict(doc, verify={"bound_scale": 0.0}))
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "unknown keys in config: verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.3", "[0.1, -0.5]", '["a"]', "[true]", "[1e999]"])
+    def test_bad_cv_values_exit_two_before_any_cell(self, tiny_config, tmp_path, capsys,
+                                                     value):
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                       "--override", f"cv_values={value}"])
+        assert rc == cli.EXIT_CONFIG
+        assert "cv_values must be a list" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_wrong_schema_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {"schema": 99})
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -200,11 +218,17 @@ class TestVerifyCommand:
         assert (out / "moments.csv").exists()
         assert (out / "reports").is_dir()
 
-    def test_forced_violation_exits_four(self, tmp_path):
-        rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--seed", "0",
-                       "--config", write_config(tmp_path / "c.json",
-                                                {"schema": 1, "verify": {"bound_scale": 0.0}})])
+    def test_forced_violation_exits_four(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "check_lipschitz_majorant",
+                            lambda *args: cli.BoundReport("lipschitz", 1.0, 0.0))
+        rc = cli.main(["verify", "--out", str(tmp_path / "v"), "--only", "lipschitz"])
         assert rc == cli.EXIT_VIOLATION
+
+    def test_config_flag_is_refused(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"schema": 1})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--out", str(tmp_path / "v"), "--config", cfg])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_only_runs_single_check(self, tmp_path):
         out = tmp_path / "v"
@@ -235,6 +259,17 @@ class TestVerifyCommand:
             files.append((out / "moments.csv").read_bytes())
         assert files[0] == files[1]
         assert len(files[1].splitlines()) == 2
+
+    def test_overwrite_removes_the_earlier_runs_outputs(self, tmp_path):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_OK
+        (out / "reports" / "notes.json").write_text("{}")
+        (out / "kept.txt").write_text("mine")
+        assert cli.main(["verify", "--out", str(out), "--only", "moment-formula",
+                         "--overwrite"]) == cli.EXIT_OK
+        assert sorted(f.name for f in (out / "reports").iterdir()) == \
+            ["moment-formula.json", "notes.json"]
+        assert sorted(f.name for f in out.iterdir()) == ["kept.txt", "reports", "verify.csv"]
 
 
 class TestGenDataAndEval:

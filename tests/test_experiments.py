@@ -4,6 +4,7 @@ import pytest
 from sgnn import experiments as X
 from sgnn import graphs as G
 from sgnn import rng as R
+from sgnn import util
 from sgnn.errors import ConfigError
 from sgnn.model import Architecture
 from sgnn.training import TrainConfig, UNCONSTRAINED
@@ -104,7 +105,7 @@ class TestSourceLocalization:
     def test_denoising_targets_scaled_and_clean(self):
         cfg = X.SourceLocConfig(n=20, communities=4, p=0.2, noise_std=0.0,
                                 standardize=False, split_sizes=(50, 10, 10))
-        graph, gres, ds = X.gen_source_denoising(cfg, R.derive(0, 7), target_m2=1.5)
+        graph, gres, ds = X.gen_source_denoising(cfg, R.derive(0, 7))
         tr = ds.splits["train"]
         m2 = float(np.mean(ds.labels[tr] ** 2))
         assert m2 == pytest.approx(1.5, rel=1e-6)
@@ -360,3 +361,15 @@ class TestRunExperiment:
         assert lines[0] == "c_v,graph_seed,c_l"
         assert len(lines) == 3
         assert files[1] == files[0]
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_bad_thread_count_is_refused(monkeypatch, value):
+    monkeypatch.setenv("SGNN_THREADS", value)
+    with pytest.raises(ConfigError, match=f"SGNN_THREADS.*'{value}'"):
+        util.worker_count()
+
+
+def test_thread_count_is_read(monkeypatch):
+    monkeypatch.setenv("SGNN_THREADS", "3")
+    assert util.worker_count() == 3

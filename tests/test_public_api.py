@@ -75,3 +75,22 @@ def test_every_allowed_name_still_exists_and_is_otherwise_unused():
     defined = {name for _, name in _public_definitions()}
     assert set(ALLOWED) <= defined
     assert all(counts[name] == 1 for name in ALLOWED)
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE, name)) as f:
+            tree = ast.parse(f.read())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, "unused imports: " + ", ".join(unused)
