@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, NumericalError, SgnnError
-from .estimators import McConfig, estimate_moments, write_moments
+from .estimators import McConfig, write_moments
 from .experiments import (
     RECSYS,
     SOURCE_LOCALIZATION,
@@ -34,7 +34,7 @@ from .experiments import (
     SourceLocConfig,
     cell_task,
     load_movielens,
-    load_ratings,
+    load_task,
     metric_rows,
     read_results,
     run_cv_sweep,
@@ -197,7 +197,7 @@ def cmd_train(args) -> int:
     _prepare_out_dir(args.out, args.overwrite,
                      ["trace.csv", "checkpoint.json", "summary.json"])
     p = cfg.p_values[0]
-    gres, dataset, _ = cell_task(cfg, 0, p, load_ratings(cfg))
+    gres, dataset, _ = cell_task(cfg, 0, p, load_task(cfg))
     params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, 0), n=gres.n)
     ckpt_every = cfg.train.checkpoint_every
     trace_path = os.path.join(args.out, "trace.csv")
@@ -234,10 +234,10 @@ def cmd_eval(args) -> int:
     cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite, ["results.csv"])
     params, _, _ = load_params(args.checkpoint)
-    ratings = load_ratings(cfg)
+    task = load_task(cfg)
     rows = []
     for p in cfg.p_values:
-        gres, _, evaluate = cell_task(cfg, 0, p, ratings)
+        gres, _, evaluate = cell_task(cfg, 0, p, task)
         metrics = evaluate(params, cfg.eval_draws,
                            rngmod.derive(cfg.master_seed, 4, rngmod.stream_key(p)))
         rows.extend(metric_rows(cfg.task, "eval", p, gres.q, 0, metrics))
@@ -293,10 +293,9 @@ def cmd_verify(args) -> int:
     if want("moment-formula"):
         reports.append(check_moment_formula(gres))
     if want("variance-bound"):
-        cfg = McConfig(400, master_seed=args.seed)
-        reports.append(check_variance_bound(params, gres, x, cfg))
-        rep = estimate_moments(params, gres, x, cfg)
-        write_moments(os.path.join(args.out, "moments.csv"), gres.p, gres.q, rep)
+        reports.append(check_variance_bound(params, gres, x, McConfig(400, master_seed=args.seed)))
+        # the moments of the rescaled taps the check bounds
+        write_moments(os.path.join(args.out, "moments.csv"), gres.p, gres.q, reports[-1].moments)
     if want("chebyshev"):
         reports.extend(check_chebyshev(params, gres, x, (0.5, 1, 2, 5, 10, 30, 100, 300),
                                        McConfig(400, master_seed=args.seed + 1)))
@@ -335,7 +334,7 @@ def cmd_gen_data(args) -> int:
         path = os.path.join(args.out, "u.data")
         write_synthetic_movielens(path, seed=cfg.master_seed)
         ratings = load_movielens(path)
-    gres, dataset, _ = cell_task(cfg, 0, cfg.p_values[0], ratings)
+    gres, dataset, _ = cell_task(cfg, 0, cfg.p_values[0], load_task(cfg, ratings))
     if cfg.task == SOURCE_LOCALIZATION:
         np.savez(os.path.join(args.out, "dataset.npz"),
                  inputs=dataset.inputs, labels=dataset.labels,

@@ -4,7 +4,8 @@ Two tasks are wired up end to end: community-source localization on
 stochastic block models (synthetic diffusion signals, classification) and
 movie-rating prediction on a Pearson-correlation item graph (regression plus
 a recommendation-diversity metric).  ``cell_task`` builds either task at one
-edge probability, ``run_cell`` trains and evaluates one cell on it, and
+edge probability (a recommender sweep builds its item graph once, with
+``load_task``), ``run_cell`` trains and evaluates one cell on it, and
 ``run_experiment`` sweeps edge-failure probabilities and training modes over
 several graph seeds and writes plot-ready CSV rows.
 """
@@ -482,18 +483,24 @@ def _evaluate_recsys(params, task, draws, rng, mode_realizations):
     return rmses, ads
 
 
-def load_ratings(cfg: ExperimentConfig):
-    """The ratings matrix a recsys experiment runs on; None for other tasks."""
+def load_task(cfg: ExperimentConfig, ratings=None):
+    """The recommender task every cell of a recsys experiment shares, built at
+    the first sweep p from ``ratings``, by default the config's ratings file;
+    None for other tasks."""
     if cfg.task != RECSYS:
         return None
-    if cfg.ratings_path is None:
-        raise ConfigError("recsys task needs ratings_path in the config")
-    return load_movielens(cfg.ratings_path)
+    if ratings is None:
+        if cfg.ratings_path is None:
+            raise ConfigError("recsys task needs ratings_path in the config")
+        ratings = load_movielens(cfg.ratings_path)
+    return build_recsys_task(ratings, cfg.recsys, cfg.p_values[0])
 
 
-def cell_task(cfg: ExperimentConfig, graph_seed: int, p: float, ratings=None):
+def cell_task(cfg: ExperimentConfig, graph_seed: int, p: float, task=None):
     """(gres, dataset, evaluate) of the configured task at edge probability p.
 
+    A recsys cell takes the item graph and data set of ``task`` (see
+    ``load_task``), whatever p it was built at, and its GRES model at p.
     ``evaluate(params, draws, rng)`` maps each metric name to its per-draw
     test values over fresh realization sequences.
     """
@@ -512,7 +519,7 @@ def cell_task(cfg: ExperimentConfig, graph_seed: int, p: float, ratings=None):
                 accs[d] = metric_accuracy(pred, batch.y)
             return {"accuracy": accs}
         return gres, dataset, evaluate
-    task = build_recsys_task(ratings, cfg.recsys, p)
+    task = replace(task, gres=replace(task.gres, p=p, q=p))
 
     def evaluate(params, draws, rng):
         rmses, ads = _evaluate_recsys(params, task, draws, rng, mode)
@@ -527,14 +534,14 @@ def metric_rows(task: str, mode: str, p: float, q: float, graph_seed: int, metri
             for name, values in metrics.items()]
 
 
-def run_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str, ratings=None):
+def run_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str, task=None):
     """Train one (graph seed, p, mode) cell and evaluate it.
 
     Returns (rows, trace, params, gamma).  Evaluation takes one draw when no
     edge is random.  Source-localization cells add the mean cost over the
     last ``cost_window`` iterations as a row.
     """
-    gres, dataset, evaluate = cell_task(cfg, graph_seed, p, ratings)
+    gres, dataset, evaluate = cell_task(cfg, graph_seed, p, task)
     params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, graph_seed), n=gres.n)
     key = rngmod.stream_key(p)
     params, gamma, trace = train(params0, gres, dataset, replace(cfg.train, mode=mode),
@@ -553,7 +560,7 @@ def run_source_cell(cfg: ExperimentConfig, graph_seed: int, p: float, mode: str)
 
 def run_recsys_cell(cfg: ExperimentConfig, ratings: np.ndarray, p: float, mode: str):
     """Train one recommender cell on ``ratings`` and evaluate it; see ``run_cell``."""
-    return run_cell(cfg, 0, p, mode, ratings)
+    return run_cell(cfg, 0, p, mode, build_recsys_task(ratings, cfg.recsys, p))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
@@ -563,13 +570,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     as ``trace_<task>_<mode>_p<p>_s<seed>.csv``; ``summary.json`` aggregates
     per (mode, p) across seeds.  Recommender sweeps have the one graph seed 0.
     """
-    ratings = load_ratings(cfg)
+    task = load_task(cfg)
     seeds = cfg.graph_seeds if cfg.task == SOURCE_LOCALIZATION else (0,)
     cells = [(seed, p, mode) for seed in seeds for p in cfg.p_values for mode in cfg.modes]
     rows = []
     traces = {}
     for (seed, p, mode), (cell_rows, trace, _, _) in zip(
-            cells, parallel_map(lambda cell: run_cell(cfg, *cell, ratings), cells)):
+            cells, parallel_map(lambda cell: run_cell(cfg, *cell, task), cells)):
         rows.extend(cell_rows)
         traces[f"trace_{cfg.task}_{mode}_p{p}_s{seed}.csv"] = trace
     rows.sort(key=lambda r: (r["task"], r["mode"], r["p"], r["graph_seed"], r["metric"]))

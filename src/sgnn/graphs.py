@@ -212,12 +212,18 @@ class GresModel:
     def _sampler(self):
         return _Sampler(self)
 
+    @property
+    def layout(self) -> "BlockLayout":
+        """The connected components of the nominal graph plus the addable edges,
+        over which every realization is block-diagonal."""
+        return self._sampler.layout
+
     def realize(self, bits: np.ndarray) -> np.ndarray:
         """Fresh dense shifts (m, n, n) for presence bits (m, M_d + M_a)."""
         sampler = self._sampler
-        buf = np.broadcast_to(sampler.base, (len(bits),) + sampler.base.shape).copy()
-        sampler.write(buf, bits, np.zeros(0, dtype=np.intp))
-        return buf
+        packed = sampler.fresh(len(bits))
+        sampler.write(packed, bits, np.zeros(0, dtype=np.intp))
+        return sampler.layout.unpack(packed)
 
     def thread_cache(self, name: str) -> dict:
         """A dict of this model's reused buffers, private to the calling thread."""
@@ -233,14 +239,16 @@ class GresModel:
             self._sampler.local.__dict__.clear()
 
     def materialize(self, bits: np.ndarray) -> np.ndarray:
-        """Dense shifts for ``bits``, in a workspace the next call on this thread
-        for as many shifts overwrites.  The caller only reads it: a call for
-        the bits it already holds returns it unwritten."""
+        """The shifts for ``bits`` as packed component blocks (m, layout.width),
+        in a workspace the next call on this thread for as many shifts
+        overwrites.  The caller only reads it: a call for the bits it already
+        holds returns it unwritten."""
         sampler = self._sampler
         pool = self.thread_cache("workspaces")
         if len(bits) not in pool:
             nominal = np.broadcast_to(sampler.nominal_bits, bits.shape)
-            pool[len(bits)] = [self.realize(nominal), np.zeros(0, dtype=np.intp), nominal.copy()]
+            pool[len(bits)] = [sampler.fresh(len(bits)), np.zeros(0, dtype=np.intp),
+                               nominal.copy()]
         entry = pool[len(bits)]     # the shifts, their indices off nominal, their bits
         if not np.array_equal(entry[2], bits):
             entry[1] = sampler.write(entry[0], bits, entry[1])
@@ -248,23 +256,99 @@ class GresModel:
         return entry[0]
 
 
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """Shifts that are block-diagonal over the connected components of a graph,
+    stored as their blocks.
+
+    ``perm`` lists the node labels in component order and ``inverse`` undoes
+    it: components are grouped by size, ordered by their smallest label
+    within a size, and keep their nodes in increasing label order, so a
+    block product adds its terms in the order a dense one does.  A packed
+    shift holds each block row-major, class by class and component by
+    component; ``index`` is the flat n x n position of each packed entry.
+    ``classes`` holds (size, components, first node, first entry) per size.
+    """
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    index: np.ndarray
+    classes: tuple
+
+    @classmethod
+    def of(cls, adjacency: np.ndarray) -> "BlockLayout":
+        """The components of the graph whose edges are the nonzeros of ``adjacency``."""
+        n = len(adjacency)
+        reach = np.eye(n) + (adjacency != 0)
+        for _ in range(n.bit_length()):     # walks of up to 2^k steps after k squarings
+            reach = (reach @ reach > 0).astype(float)
+        size, first = np.count_nonzero(reach, axis=1), np.argmax(reach, axis=1)
+        perm = np.lexsort((np.arange(n), first, size))
+        classes, index, node, entry = [], [], 0, 0
+        for s, members in zip(*np.unique(size[perm], return_counts=True)):
+            group = perm[node:node + members].reshape(-1, s)
+            classes.append((int(s), len(group), node, entry))
+            index.append((group[:, :, None] * n + group[:, None, :]).ravel())
+            node, entry = node + int(members), entry + int(members * s)
+        return cls(perm, np.argsort(perm), np.concatenate(index), tuple(classes))
+
+    @property
+    def width(self) -> int:
+        """Entries of one packed shift: the sum of its squared block sizes."""
+        return self.index.size
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """(..., width) blocks as fresh dense (..., n, n) shifts in the original labels."""
+        n = self.perm.size
+        out = np.zeros(packed.shape[:-1] + (n * n,))
+        out[..., self.index] = packed
+        return out.reshape(packed.shape[:-1] + (n, n))
+
+    def apply(self, blocks: np.ndarray, z: np.ndarray, out=None, transpose=False):
+        """``out`` = S z for packed shifts ``blocks`` (..., width) and signals
+        ``z`` (..., n, B) in component order, broadcast over the leading axes:
+        one product per block size."""
+        if out is None:
+            out = np.empty(np.broadcast_shapes(blocks.shape[:-1], z.shape[:-2]) + z.shape[-2:])
+        for size, count, node, entry in self.classes:
+            rows = slice(node, node + count * size)
+            s = blocks[..., entry:entry + count * size * size]
+            s = s.reshape(s.shape[:-1] + (count, size, size))
+            split = lambda a: a.reshape(a.shape[:-2] + (count, size, a.shape[-1]))  # noqa: E731
+            np.matmul(np.swapaxes(s, -1, -2) if transpose else s, split(z[..., rows, :]),
+                      out=split(out[..., rows, :]))
+        return out
+
+
 class _Sampler:
-    """The nominal shift and its random edges: drop edges (present in it) first."""
+    """The nominal shift and its random edges, drop edges (present in it)
+    first, packed over the components of the graph they form together."""
 
     def __init__(self, model: GresModel):
         n = model.n
         edges = model.drop_edges + model.add_edges
         self.ii = np.array([e[0] for e in edges], dtype=np.intp)
         self.jj = np.array([e[1] for e in edges], dtype=np.intp)
+        a = _adjacency_from_edges(n, _kept_edges(model) + model.drop_edges)
+        union = a != 0
+        union[self.ii, self.jj] = union[self.jj, self.ii] = True
+        self.layout = layout = BlockLayout.of(union)
+        at = np.empty(n * n, dtype=np.intp)         # the packed position of a dense entry
+        at[layout.index] = np.arange(layout.width)
+        self.upper, self.lower = at[self.ii * n + self.jj], at[self.jj * n + self.ii]
         self.nominal_bits = np.arange(len(edges)) < model.m_drop
         # the adjacency entry of an edge whose bit differs from nominal
         self.flipped = np.array([0.0] * model.m_drop + [e[2] for e in model.add_edges])
-        a = _adjacency_from_edges(n, _kept_edges(model) + model.drop_edges)
         self.laplacian = model.nominal.kind == LAPLACIAN
-        self.base = a
+        base = a
         if self.laplacian:
-            self.base, self.flipped = -a, -self.flipped
-            self.base[np.arange(n), np.arange(n)] = a.sum(axis=1)
+            base, self.flipped = -a, -self.flipped
+            base[np.arange(n), np.arange(n)] = a.sum(axis=1)
+            # where each node's row of its block starts in a packed shift, and its length
+            _, self.row_start, self.row_size = np.unique(
+                layout.index // n, return_index=True, return_counts=True)
+            self.diag = at[np.arange(n) * (n + 1)]
+        self.base = base.reshape(-1)[layout.index]
         self.local = threading.local()
 
     def __getstate__(self):       # copies get workspaces of their own
@@ -273,26 +357,32 @@ class _Sampler:
     def __setstate__(self, state):
         vars(self).update(state, local=threading.local())
 
+    def fresh(self, m: int) -> np.ndarray:
+        """``m`` packed copies of the nominal shift."""
+        return np.broadcast_to(self.base, (m, self.base.size)).copy()
+
     def write(self, buf, bits, dirty):
-        """Make ``buf`` (m, n, n), nominal but at flat indices ``dirty``, the
+        """Make ``buf`` (m, width), nominal but at flat indices ``dirty``, the
         realizations ``bits`` (m, M): put those back, then write the edges off
         their nominal state.  Returns the indices written."""
-        n = len(self.base)
+        w = self.base.size
         flat = buf.reshape(-1)
-        flat[dirty] = self.base.reshape(-1)[dirty % (n * n)]
+        flat[dirty] = self.base[dirty % w]
         # flat indices: a 2-D nonzero costs about four times as much
         r, e = np.divmod(np.flatnonzero(bits != self.nominal_bits), bits.shape[1])
-        ii, jj = r * n + self.ii[e], r * n + self.jj[e]     # rows of buf.reshape(-1, n)
-        upper, lower = ii * n + self.jj[e], jj * n + self.ii[e]
+        upper, lower = r * w + self.upper[e], r * w + self.lower[e]
         flat[upper] = flat[lower] = self.flipped[e]
-        if not self.laplacian:
+        if not self.laplacian or not e.size:
             return np.concatenate([upper, lower])
         # the diagonal is the row sum of the realized adjacency, -L off it
-        rows = np.unique(np.concatenate([ii, jj]))
-        block = buf.reshape(-1, n)[rows]
-        block[np.arange(rows.size), rows % n] = -0.0
-        diag = rows * n + rows % n
-        flat[diag] = -block.sum(axis=1)
+        n = self.diag.size
+        r, v = np.divmod(np.unique(np.concatenate([r * n + self.ii[e], r * n + self.jj[e]])), n)
+        diag = r * w + self.diag[v]
+        flat[diag] = -0.0
+        size = self.row_size[v]
+        starts = np.cumsum(size) - size                 # of each row in the gathered ones
+        rows = np.repeat(r * w + self.row_start[v] - starts, size) + np.arange(size.sum())
+        flat[diag] = -np.add.reduceat(flat[rows], starts)
         return np.concatenate([upper, lower, diag])
 
 

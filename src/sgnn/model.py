@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .graphs import BlockLayout
 
 PER_FILTER = "per_filter"
 SHARED = "shared"
@@ -211,8 +212,9 @@ class Realizations:
     ``layers[l]`` is indexed (count, F_out, F_in, K) in per-filter mode, a
     draw per filter and tap, and (count, K) in shared mode, a draw per tap
     for the whole bank.  Its trailing axis holds the presence bits of the
-    random edges of ``gres``, whose dense shifts exist only while a layer is
-    applied; with ``gres`` None, two trailing axes hold n x n matrices.
+    random edges of ``gres``; their shifts exist only while a layer is
+    applied, as the blocks of the components of ``gres.layout``.  With
+    ``gres`` None, two trailing axes hold n x n matrices, one block of size n.
     """
 
     layers: list
@@ -239,13 +241,23 @@ class Realizations:
         """The j-th sequence as a one-realization view."""
         return Realizations([a[j:j + 1] for a in self.layers], self.mode, self.n, self.gres)
 
-    def dense(self, layer: int) -> np.ndarray:
-        """A layer's shifts as (..., n, n), mask realizations in this thread's GRES workspace."""
+    @property
+    def layout(self):
+        """The ``BlockLayout`` the shifts are applied in."""
+        if self.gres is None:       # any n x n matrix: one block
+            return BlockLayout.of(np.ones((self.n, self.n)))
+        return self.gres.layout
+
+    def hops(self, layer: int) -> np.ndarray:
+        """A layer's shifts as packed blocks of ``layout``, hop first: (K, count,
+        F_out, F_in, width) or (K, count, width).  Mask realizations are in
+        this thread's GRES workspace, where one hop's shifts lie together."""
         a = self.layers[layer]
         if self.gres is None:
-            return a
-        mats = self.gres.materialize(a.reshape(-1, a.shape[-1]))
-        return mats.reshape(a.shape[:-1] + (self.n, self.n))
+            return np.moveaxis(a.reshape(a.shape[:-2] + (self.n * self.n,)), -2, 0)
+        bits = np.moveaxis(a, -2, 0)
+        packed = self.gres.materialize(bits.reshape(-1, bits.shape[-1]))
+        return packed.reshape(bits.shape[:-1] + packed.shape[-1:])
 
     def shift(self, layer: int, f: int, g: int, k: int) -> np.ndarray:
         """The shift at hop k (1-based) of filter (f, g) of a one-realization view."""
@@ -304,6 +316,16 @@ def _reused(pool, key, compute):
     return pool[key]
 
 
+def _reorder(a, index, axis):
+    """``a`` taken at ``index`` along ``axis``: a new array in ``a``'s memory layout."""
+    out = np.empty_like(a)
+    # np.take writes a C-contiguous ``out`` directly, so take in the axes' memory order
+    order = np.argsort(out.strides, kind="stable")[::-1]
+    np.take(a.transpose(order), index, axis=int(np.flatnonzero(order == axis)[0]),
+            out=out.transpose(order), mode="clip")
+    return out
+
+
 def _lend(spare, loans, compute):
     """``compute(out)`` into the next spare buffer, or a new one, and onto ``loans``.
     The spares come from a pass of the same signature, so each has the layout
@@ -321,6 +343,11 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     realization.  Raises NumericalError naming the layer if an intermediate
     stops being finite.  ``output`` and ``logits`` are always new arrays the
     caller owns, bit-identical with and without ``keep_tape``.
+
+    Each hop multiplies the blocks of ``stack.layout``, one product per
+    block size, on signals in its component order: ``x`` is reordered on
+    entry and the output back before the readout.  The tape keeps that
+    order.
 
     Mask realizations keep the other arrays in buffers of this thread and
     ``stack.gres``; explicit matrices (``gres`` None) allocate them afresh.
@@ -340,7 +367,7 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
     per_filter = stack.mode == PER_FILTER
     spec = "fg,nfgib->nfib" if per_filter else "fg,ngib->nfib"
-    gres = stack.gres
+    gres, layout = stack.gres, stack.layout
     pool = None if gres is None else gres.thread_cache("hops")
     if keep_tape:
         signature = (stack.mode, count, x.shape, x.strides) + tuple(
@@ -350,11 +377,11 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         hold = lambda key, compute: _lend(spare, loans, compute)   # noqa: E731
     else:
         hold = lambda key, compute: _reused(pool, key, compute)    # noqa: E731
-    cur = np.broadcast_to(x, (count,) + x.shape)
+    cur = np.broadcast_to(_reorder(x, layout.perm, 1), (count,) + x.shape)
     layer_inputs, shifted, preacts = [], [], []
     for l in range(arch.layers):
         taps = params.taps[l]
-        s = stack.dense(l)
+        s = stack.hops(l)
         key = (stack.mode, l, taps.shape, taps.strides, cur.shape, cur.strides)
         z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:]) \
             if per_filter else cur
@@ -362,8 +389,8 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
                  lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
         zs = []
         for k in range(arch.order):
-            hop = s[:, :, :, k] if per_filter else s[:, None, k]
-            z = hold(("z", k % 2) + key, lambda out: np.matmul(hop, z, out=out))
+            hop = s[k] if per_filter else s[k][:, None]
+            z = hold(("z", k % 2) + key, lambda out: layout.apply(hop, z, out))
             zs.append(z)
             u += _reused(pool, ("term",) + key,
                          lambda out: np.einsum(spec, taps[:, :, k + 1], z, out=out))
@@ -373,9 +400,10 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
             layer_inputs.append(cur)
             shifted.append(zs)
             preacts.append(u)
-            # the activation goes into a copy in u's layout; the last one is the output
-            u = u.copy(order="K") if l + 1 == arch.layers else \
-                hold(None, lambda out: np.positive(u, out=out))
+        if l + 1 == arch.layers:        # the output, in node order
+            u = _reorder(u, layout.inverse, 2)
+        elif keep_tape:                 # the activation goes into a copy in u's layout
+            u = hold(None, lambda out: np.positive(u, out=out))
         cur = act(u)
     logits = None
     if params.readout_w is not None:
@@ -384,7 +412,7 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite readout logits")
     if not keep_tape:
-        return ForwardTape(params, None, None, None, None, cur.copy(order="K"), logits)
+        return ForwardTape(params, None, None, None, None, cur, logits)
     return ForwardTape(params, stack, layer_inputs, shifted, preacts, cur, logits,
                        (signature, loans))
 
@@ -434,6 +462,8 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     elif params.readout_w is not None and gw is None:
         gw = np.zeros_like(params.readout_w)
         gb = np.zeros_like(params.readout_b)
+    layout = stack.layout
+    d_cur = _reorder(d_cur, layout.perm, 2)       # into the tape's component order
 
     k_order = arch.order
     per_filter = stack.mode == PER_FILTER
@@ -454,7 +484,7 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
             g[:, :, k + 1] = np.einsum(spec, du, zs[k])
         if l == 0:
             break
-        s = stack.dense(l)
+        s = stack.hops(l)
 
         def tap_term(k):      # hop k's tap times du, summed over f in shared mode
             if per_filter:
@@ -463,8 +493,9 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
 
         acc = _reused(pool, ("tap",) + key, tap_term(k_order))
         for k in range(k_order - 1, -1, -1):
-            st = np.swapaxes(s[:, :, :, k] if per_filter else s[:, None, k], -1, -2)
-            mm = _reused(pool, ("mm", acc.strides) + key, lambda out: np.matmul(st, acc, out=out))
+            hop = s[k] if per_filter else s[k][:, None]
+            mm = _reused(pool, ("mm", acc.strides) + key,
+                         lambda out: layout.apply(hop, acc, out, transpose=True))
             # acc was read, so its buffer may take the next one
             acc = _reused(pool, ("acc", mm.strides) + key, lambda out: tap_term(k)(None) + mm
                           if out is None else np.add(tap_term(k)(out), mm, out=out))

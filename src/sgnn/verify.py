@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (
     McConfig,
+    MomentReport,
     deviation_probability,
     estimate_moments,
     sample_stack,
@@ -46,6 +47,7 @@ class BoundReport:
     bound: float
     stderr: float = 0.0
     inputs: dict = field(default_factory=dict)
+    moments: MomentReport | None = None     # the estimate behind ``empirical``, if any
 
     @property
     def slack(self) -> float:
@@ -189,7 +191,7 @@ def check_variance_bound(params: SgnnParams, gres: GresModel, x: np.ndarray,
     lambda_max = gres.nominal.spectral_radius()
     params = rescale_to_unit_response(params, lambda_max, rng)
     c_l = model_lipschitz(params, lambda_max, 4096, rng)
-    variance = estimate_moments(params, gres, x, cfg).variance
+    moments = estimate_moments(params, gres, x, cfg)
     group_size = max(2, cfg.n_realizations // 10)
     seeds = [cfg.master_seed * 1000003 + 17 + g for g in range(10)]
     vals = [estimate_moments(params, gres, x, McConfig(group_size, master_seed=s)).variance
@@ -200,9 +202,10 @@ def check_variance_bound(params: SgnnParams, gres: GresModel, x: np.ndarray,
         c_l, gres.m_drop, gres.m_add, gres.p, gres.q, arch.order, arch.layers,
         width, 1.0, gres.n, float(np.linalg.norm(x)))
     return BoundReport(
-        "variance-bound", variance, bound, stderr,
+        "variance-bound", moments.variance, bound, stderr,
         inputs={"p": gres.p, "q": gres.q, "m_drop": gres.m_drop, "m_add": gres.m_add,
                 "c_l": c_l, "n_realizations": cfg.n_realizations},
+        moments=moments,
     )
 
 

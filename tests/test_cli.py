@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -259,6 +260,16 @@ class TestVerifyCommand:
             files.append((out / "moments.csv").read_bytes())
         assert files[0] == files[1]
         assert len(files[1].splitlines()) == 2
+
+    def test_moments_describe_the_model_the_variance_bound_checks(self, tmp_path):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--out", str(out), "--only", "variance-bound"]) == cli.EXIT_OK
+        with open(out / "moments.csv", newline="") as f:
+            moments = list(csv.DictReader(f))
+        with open(out / "verify.csv", newline="") as f:
+            checks = list(csv.DictReader(f))
+        assert [c["check_name"] for c in checks] == ["variance-bound"]
+        assert len(moments) == 1 and moments[0]["variance"] == checks[0]["empirical"]
 
     def test_overwrite_removes_the_earlier_runs_outputs(self, tmp_path):
         out = tmp_path / "v"

@@ -226,6 +226,40 @@ class TestRecsysTask:
             assert (i, j) == (ei, ej)
             assert w == pytest.approx(ew, rel=1e-12)
 
+    def test_cells_derive_their_model_from_the_one_task(self, small_ratings):
+        cfg = X.ExperimentConfig(task=X.RECSYS, p_values=(0.05, 0.2),
+                                 recsys=X.RecsysConfig(keep_top=15, add_next=8))
+        shared = X.load_task(cfg, small_ratings)
+        for p in (0.2, 0.0, 0.05):
+            gres, dataset, _ = X.cell_task(cfg, 0, p, shared)
+            want = X.build_recsys_task(small_ratings, cfg.recsys, p)
+            assert (gres.p, gres.q, gres.drop_edges, gres.add_edges) == \
+                (want.gres.p, want.gres.q, want.gres.drop_edges, want.gres.add_edges)
+            np.testing.assert_array_equal(gres.nominal.entries, want.gres.nominal.entries)
+            for name in ("inputs", "labels", "masks"):
+                np.testing.assert_array_equal(getattr(dataset, name),
+                                              getattr(want.dataset, name))
+            assert dataset.splits.keys() == want.dataset.splits.keys()
+            for split, idx in dataset.splits.items():
+                np.testing.assert_array_equal(idx, want.dataset.splits[split])
+        assert shared.gres.p == 0.05
+
+    def test_a_sweep_correlates_the_ratings_once(self, small_ratings, monkeypatch):
+        calls = []
+        pearson = X.pearson_correlations
+        monkeypatch.setattr(X, "pearson_correlations",
+                            lambda *args, **kw: calls.append(1) or pearson(*args, **kw))
+        monkeypatch.setattr(X, "load_movielens", lambda path: small_ratings)
+        cfg = X.ExperimentConfig(
+            task=X.RECSYS, p_values=(0.1, 0.2), modes=(UNCONSTRAINED,),
+            arch=Architecture((1, 2, 1), 1),
+            train=TrainConfig(max_iters=2, n_realizations=2, batch_size=4, loss="masked_mse"),
+            recsys=X.RecsysConfig(keep_top=15, add_next=8), ratings_path="u.data",
+            eval_draws=1)
+        rows, _ = X.run_experiment(cfg)
+        assert len(calls) == 1
+        assert sorted({(r["p"], r["q"]) for r in rows}) == [(0.1, 0.1), (0.2, 0.2)]
+
     def test_requires_enough_correlated_pairs(self):
         ratings = np.zeros((5, 4))
         with pytest.raises(ConfigError):

@@ -74,7 +74,11 @@ def test_sample_stack_matches_dense_construction(kind, mode):
     # materialize in an order that makes every draw start from another's leftovers
     for s, ref in [(0, refs[0]), (1, refs[1]), (0, refs[0]), (2, refs[2]), (1, refs[1])]:
         for l in range(arch.layers):
-            np.testing.assert_array_equal(stacks[s].dense(l), ref[l])
+            bits = stacks[s].layers[l]
+            np.testing.assert_array_equal(
+                gres.realize(bits.reshape(-1, bits.shape[-1])).reshape(ref[l].shape), ref[l])
+            workspace = gres.layout.unpack(stacks[s].hops(l))     # hop first
+            np.testing.assert_array_equal(np.moveaxis(workspace, 0, -3), ref[l])
     seq = stacks[2].seq(1)
     for l, (f, g) in enumerate([(2, 0), (1, 2)]):
         for k in range(1, arch.order + 1):
@@ -168,10 +172,8 @@ def test_repeated_lagrangians_reuse_one_tape_and_match_explicit_matrices(monkeyp
 
     def as_matrices(gres, arch, count, rng, mode):
         stack = sample_stack(gres, arch, count, rng, mode)
-        # copies: each layer's shifts live in a workspace the next layer overwrites
-        rows = np.concatenate([stack.dense(l).reshape(-1, gres.n, gres.n).copy()
-                               for l in range(arch.layers)])
-        return Realizations.from_rows(arch, mode, gres.n, rows)
+        bits = np.concatenate([a.reshape(-1, a.shape[-1]) for a in stack.layers])
+        return Realizations.from_rows(arch, mode, gres.n, gres.realize(bits))
 
     monkeypatch.setattr(training, "sample_stack", as_matrices)
     for seed, (value, grads) in enumerate(masks):
@@ -290,9 +292,119 @@ def test_threads_training_on_one_model_match_serial_runs():
 def test_a_copied_model_gets_its_own_workspace():
     gres = small_gres(n=7, p=0.4, q=0.3)
     arch = Architecture((1, 2, 1), 2)
-    sample_stack(gres, arch, 2, np.random.default_rng(8)).dense(0)
+    sample_stack(gres, arch, 2, np.random.default_rng(8)).hops(0)
     twin = copy.deepcopy(gres)
     assert twin.thread_cache("workspaces") is not gres.thread_cache("workspaces")
     other = sample_stack(twin, arch, 2, np.random.default_rng(9))
     first = G.sample_gres_batch(gres, 8, np.random.default_rng(9))   # layer 0: 2 x 2 x 1 x 2 draws
-    np.testing.assert_array_equal(other.dense(0).reshape(first.shape), first)
+    bits = other.layers[0]
+    np.testing.assert_array_equal(twin.realize(bits.reshape(8, -1)), first)
+    workspace = twin.layout.unpack(other.hops(0))
+    np.testing.assert_array_equal(np.moveaxis(workspace, 0, -3).reshape(first.shape), first)
+
+
+# ---------------------------------------------------------------------------
+# Shifts applied as the blocks of the connected components
+# ---------------------------------------------------------------------------
+
+
+def forest_gres(kind, p=0.4, q=0.3):
+    """Components of sizes 1, 2, 3 and 4 over scattered labels, with drop and add edges.
+
+    Nodes 8, 10 and 13 are isolated; {6, 12} is joined by an add edge only.
+    """
+    rng = np.random.default_rng(21)
+    nominal = [(0, 5), (1, 7), (2, 9), (9, 11), (4, 11)]
+    graph = G.Graph(14, tuple((i, j, float(w)) for (i, j), w
+                              in zip(nominal, rng.uniform(0.2, 1.0, len(nominal)))))
+    shift = G.build_shift(graph, kind)
+    adds = ((3, 7, 0.6), (2, 4, 0.4), (6, 12, 0.8))
+    return G.GresModel(shift, drop_edges=shift.edges()[::2], add_edges=adds, p=p, q=q)
+
+
+def sbm_gres(kind):
+    g = G.sbm_generate(12, 3, 0.9, 0.3, np.random.default_rng(4))
+    s = G.normalize_shift(G.build_shift(g, kind))
+    pairs = {(i, j) for i, j, _ in s.edges()}
+    absent = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) not in pairs]
+    return G.GresModel(s, drop_edges=s.edges()[::2], add_edges=tuple(
+        (i, j, 0.3) for i, j in absent[:4]), p=0.3, q=0.2)
+
+
+def as_explicit(stack):
+    """The same realizations as explicit dense matrices, one block of size n."""
+    gres = stack.gres
+    layers = [gres.realize(a.reshape(-1, a.shape[-1])).reshape(a.shape[:-1] + (gres.n, gres.n))
+              for a in stack.layers]
+    return Realizations(layers, stack.mode, gres.n)
+
+
+def test_the_layout_groups_components_by_size_in_label_order():
+    layout = forest_gres(G.ADJACENCY).layout
+    assert layout.classes == ((1, 3, 0, 0), (2, 2, 3, 3), (3, 1, 7, 11), (4, 1, 10, 20))
+    np.testing.assert_array_equal(layout.perm, [8, 10, 13, 0, 5, 6, 12, 1, 3, 7, 2, 4, 9, 11])
+    np.testing.assert_array_equal(layout.perm[layout.inverse], np.arange(14))
+    assert layout.width == 3 + 2 * 4 + 9 + 16
+    connected = sbm_gres(G.ADJACENCY).layout
+    assert connected.classes == ((12, 1, 0, 0),)
+    np.testing.assert_array_equal(connected.perm, np.arange(12))
+
+
+@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
+@pytest.mark.parametrize("kind", G.KINDS)
+@pytest.mark.parametrize("make", [sbm_gres, forest_gres])
+def test_block_products_match_explicit_dense_shifts(make, kind, mode, count):
+    gres = make(kind)
+    assert gres.m_drop and gres.m_add
+    arch = Architecture((2, 3, 1), 3, activation="leaky_relu", readout=4)
+    params = init_params(arch, np.random.default_rng(5), n=gres.n)
+    rng = np.random.default_rng(6)
+    x = np.moveaxis(rng.normal(size=(7, 2, gres.n)), 0, -1)
+    stacks = [sample_stack(gres, arch, count, rng, mode) for _ in range(3)]
+    for stack in stacks + stacks[::-1]:      # each draw starts from another's leftovers
+        dense = as_explicit(stack)
+        for keep_tape in (True, False):
+            got = forward_stack(params, stack, x, keep_tape)
+            want = forward_stack(params, dense, x, keep_tape)
+            np.testing.assert_array_equal(got.output, want.output)
+            np.testing.assert_array_equal(got.logits, want.logits)
+        upstream = np.cos(got.logits)
+        got_g = backward_stack(forward_stack(params, stack, x), d_logits=upstream).flatten()
+        want_g = backward_stack(forward_stack(params, dense, x), d_logits=upstream).flatten()
+        assert np.max(np.abs(got_g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+
+
+def test_isolated_nodes_hop_to_positive_zero():
+    gres = forest_gres(G.ADJACENCY)
+    arch = Architecture((1, 2, 1), 3)
+    params = init_params(arch, np.random.default_rng(1))
+    x = -np.abs(np.random.default_rng(2).normal(size=(1, gres.n, 5))) - 1.0
+    tape = forward_stack(params, sample_stack(gres, arch, 4, np.random.default_rng(3)), x)
+    size, count, node, _ = gres.layout.classes[0]
+    assert size == 1 and count == 3
+    for hops in tape.shifted:
+        for z in hops:
+            rows = z[..., node:node + count, :]
+            assert np.all(rows == 0.0) and not np.signbit(rows).any()
+
+
+def test_the_recsys_workspace_holds_only_the_blocks(tmp_path):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "benchmark"))
+    import inputs
+    from sgnn import experiments as X
+
+    path = tmp_path / "u.data"
+    inputs.write_ratings(path, inputs.DATA_SEED)
+    task = X.build_recsys_task(X.load_movielens(path), X.RecsysConfig(35, 20, 4000), 0.1)
+    gres, n = task.gres, task.gres.n
+    arch = Architecture((1, 8, 1), 4, activation="leaky_relu")
+    params = init_params(arch, np.random.default_rng(0))
+    forward_stack(params, sample_stack(gres, arch, 10, np.random.default_rng(1)),
+                  task.dataset.full_batch("test").x[:, :, :32], keep_tape=False)
+    blocks = sum(count * size * size for size, count, _, _ in gres.layout.classes)
+    assert 20 * blocks < n * n
+    workspaces = gres.thread_cache("workspaces")
+    assert {rows: ws[0].shape for rows, ws in workspaces.items()} == {320: (320, blocks)}
+    assert workspaces[320][0].nbytes == 320 * blocks * 8
