@@ -23,7 +23,7 @@ chain = G.sample_gres_batch(gres, 2, rng)
 x = rng.normal(size=10)
 xb = x[None, :, None]                               # (features, nodes, batch)
 one = M.Architecture(features=(1, 1), order=2, activation="identity")
-single = M.Realizations.from_rows(one, M.PER_FILTER, 10, chain)
+single = M.Realizations.from_rows(one, 10, chain)
 y = M.forward_stack(M.SgnnParams(one, [taps[None, None]]), single, xb).output
 print(f"filter output energy: ||y|| = {np.linalg.norm(y):.4f} for ||x|| = {np.linalg.norm(x):.4f}")
 

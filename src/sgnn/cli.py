@@ -255,7 +255,7 @@ def _default_verify_fixture(seed: int):
 
     rng = rngmod.derive(seed, 10)
     graph = sbm_generate(12, 3, 0.8, 0.25, rng)
-    nominal = normalize_shift(build_shift(graph, "adjacency"))
+    nominal = normalize_shift(build_shift(graph))
     edges = nominal.edges()
     gres = GresModel(nominal, drop_edges=edges[:min(6, len(edges))],
                      add_edges=(), p=0.2, q=0.0)

@@ -25,7 +25,6 @@ from .model import (
     Realizations,
     SgnnParams,
     forward_stack,
-    layer_positions,
 )
 
 
@@ -70,14 +69,18 @@ def sample_stack(gres: GresModel, arch: Architecture, count: int,
     """``count`` independent realization sequences, as GRES edge masks.
 
     In per-filter mode every (filter, tap) position gets an independent
-    GRES draw; in shared mode one draw per tap index is reused across the
-    bank.  Draw order is layers outermost, then (count, f, g, k) row-major.
+    GRES draw; in shared mode one draw per tap index serves the whole bank,
+    as a read-only view broadcast over (F_out, F_in).  Draw order is layers
+    outermost, then (count, f, g, k) row-major, or (count, k) when shared.
     """
     layers = []
-    for shape in layer_positions(arch, mode):
-        bits = sample_gres_masks(gres, count * int(np.prod(shape)), rng)
-        layers.append(bits.reshape((count,) + shape + bits.shape[1:]))
-    return Realizations(layers, mode, gres.n, gres)
+    for l in range(arch.layers):
+        bank = (arch.features[l + 1], arch.features[l])
+        shape = (count,) + (bank if mode == PER_FILTER else (1, 1)) + (arch.order,)
+        bits = sample_gres_masks(gres, int(np.prod(shape)), rng)
+        bits = bits.reshape(shape + bits.shape[1:])
+        layers.append(np.broadcast_to(bits, (count,) + bank + bits.shape[-2:]))
+    return Realizations(layers, gres.n, gres)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def deviation_probability(params: SgnnParams, gres: GresModel, x: np.ndarray,
 def enumerate_sequences(gres: GresModel, arch: Architecture):
     """Yield (probability, one-sequence Realizations) over every realization
     sequence, of which there may be at most 4096."""
-    p = arch.shift_count(PER_FILTER)
+    p = arch.shift_count()
     bits, probs = enumerate_masks(gres)
     total = probs.size ** p
     if total > 4096:
@@ -171,7 +174,7 @@ def enumerate_sequences(gres: GresModel, arch: Architecture):
         prob = 1.0
         for c in combo:
             prob *= float(probs[c])
-        yield prob, Realizations.from_rows(arch, PER_FILTER, gres.n, bits[list(combo)], gres)
+        yield prob, Realizations.from_rows(arch, gres.n, bits[list(combo)], gres)
 
 
 def enumerate_cost(params: SgnnParams, gres: GresModel, batch, loss) -> float:

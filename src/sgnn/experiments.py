@@ -24,7 +24,6 @@ from . import rng as rngmod
 from .errors import ConfigError, GraphError
 from .estimators import sample_stack
 from .graphs import (
-    ADJACENCY,
     Graph,
     GresModel,
     build_shift,
@@ -144,7 +143,7 @@ def _source_signals(cfg: SourceLocConfig, rng: np.random.Generator):
     graph = sbm_generate(cfg.n, cfg.communities, cfg.p_intra, cfg.p_inter, rng)
     if not graph.edges:
         raise GraphError("SBM draw produced an empty graph; cannot diffuse")
-    nominal = normalize_shift(build_shift(graph, ADJACENCY))
+    nominal = normalize_shift(build_shift(graph))
     gres = GresModel(nominal, drop_edges=nominal.edges(), add_edges=(), p=cfg.p)
     diffusion = normalize_shift(expected_shift(gres)).entries
     sources = community_sources(graph, cfg.communities)
@@ -348,7 +347,7 @@ def build_recsys_task(ratings: np.ndarray, cfg: RecsysConfig, p: float = 0.1) ->
     top_sub = tuple((remap[i], remap[j], w) for i, j, w in top)
     nxt_sub = tuple((remap[i], remap[j], w) for i, j, w in nxt)
     graph = Graph(m, top_sub)
-    shift = build_shift(graph, ADJACENCY)
+    shift = build_shift(graph)
     nominal = normalize_shift(shift)
     scale = 1.0 / shift.spectral_radius()
     gres = GresModel(
@@ -461,6 +460,16 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"unknown training mode {mode!r}")
+        if self.eval_draws < 1 or self.cost_window < 1:
+            raise ConfigError("eval_draws and cost_window must be >= 1")
+        if not (self.p_values and self.modes and self.graph_seeds):
+            raise ConfigError("p_values, modes and graph_seeds must not be empty")
+        for p in self.p_values:
+            if not (isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p < 1):
+                raise ConfigError(f"p_values must be numbers in [0, 1), got {p!r}")
+        for seed in self.graph_seeds:
+            if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+                raise ConfigError(f"graph_seeds must be integers >= 0, got {seed!r}")
 
 
 def _evaluate_recsys(params, task, draws, rng, mode_realizations):

@@ -7,9 +7,9 @@ Closed-form first and second moments of the sampled shift operator are
 available next to the sampler itself, so Monte-Carlo estimates can always be
 cross-checked against exact expressions.
 
-Weights are supported throughout; for a weighted edge the second-moment
-correction terms carry the squared weight, which reduces to the unweighted
-degree/Laplacian form when all weights are 1.
+Every shift is a weighted adjacency matrix.  For a weighted edge the
+second-moment correction terms carry the squared weight, which reduces to
+the unweighted degree form when all weights are 1.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ import numpy as np
 from .errors import GraphError
 
 ADJACENCY = "adjacency"
-LAPLACIAN = "laplacian"
-KINDS = (ADJACENCY, LAPLACIAN)
 
 SYMMETRY_TOL = 1e-12
-ROW_SUM_TOL = 1e-10
 
 
 def _normalize_edges(edges):
@@ -83,11 +80,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class ShiftOperator:
-    """Dense symmetric shift matrix of a graph (adjacency or Laplacian)."""
+    """Dense symmetric shift matrix of a graph: its weighted adjacency."""
 
     n: int
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -95,13 +91,8 @@ class ShiftOperator:
             raise GraphError(f"matrix shape {m.shape} does not match n={self.n}")
         if not np.all(np.isfinite(m)):
             raise GraphError("non-finite entries in shift operator")
-        if self.kind not in KINDS:
-            raise GraphError(f"unknown shift kind {self.kind!r}")
         if m.size and np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise GraphError("shift operator is not symmetric")
-        if self.kind == LAPLACIAN and m.size:
-            if np.max(np.abs(m.sum(axis=1))) > ROW_SUM_TOL:
-                raise GraphError("Laplacian rows do not sum to zero")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -118,8 +109,6 @@ class ShiftOperator:
         iu, ju = np.triu_indices(self.n, k=1)
         vals = self.entries[iu, ju]
         nz = np.nonzero(vals)[0]
-        if self.kind == LAPLACIAN:
-            return tuple((int(iu[k]), int(ju[k]), float(-vals[k])) for k in nz)
         return tuple((int(iu[k]), int(ju[k]), float(vals[k])) for k in nz)
 
 
@@ -134,15 +123,11 @@ def _adjacency_from_edges(n, edges) -> np.ndarray:
     return a
 
 
-def build_shift(graph: Graph, kind: str) -> ShiftOperator:
-    """Adjacency A, or Laplacian L = D - A with D the weighted degree matrix."""
-    if kind not in KINDS:
-        raise GraphError(f"unknown shift kind {kind!r}")
-    a = _adjacency_from_edges(graph.n, graph.edges)
-    if kind == ADJACENCY:
-        return ShiftOperator(graph.n, a, ADJACENCY)
-    lap = np.diag(a.sum(axis=1)) - a
-    return ShiftOperator(graph.n, lap, LAPLACIAN)
+def build_shift(graph: Graph, kind: str = ADJACENCY) -> ShiftOperator:
+    """The weighted adjacency matrix A, the one shift ``kind`` there is."""
+    if kind != ADJACENCY:
+        raise GraphError(f"unknown shift kind {kind!r}; shifts are adjacency matrices")
+    return ShiftOperator(graph.n, _adjacency_from_edges(graph.n, graph.edges))
 
 
 def normalize_shift(shift: ShiftOperator) -> ShiftOperator:
@@ -150,7 +135,7 @@ def normalize_shift(shift: ShiftOperator) -> ShiftOperator:
     rho = shift.spectral_radius()
     if rho == 0.0:
         raise GraphError("cannot normalize a zero shift operator")
-    out = ShiftOperator(shift.n, shift.entries / rho, shift.kind)
+    out = ShiftOperator(shift.n, shift.entries / rho)
     out._rho_cache[0] = 1.0
     return out
 
@@ -327,28 +312,19 @@ class _Sampler:
     def __init__(self, model: GresModel):
         n = model.n
         edges = model.drop_edges + model.add_edges
-        self.ii = np.array([e[0] for e in edges], dtype=np.intp)
-        self.jj = np.array([e[1] for e in edges], dtype=np.intp)
+        ii = np.array([e[0] for e in edges], dtype=np.intp)
+        jj = np.array([e[1] for e in edges], dtype=np.intp)
         a = _adjacency_from_edges(n, _kept_edges(model) + model.drop_edges)
         union = a != 0
-        union[self.ii, self.jj] = union[self.jj, self.ii] = True
+        union[ii, jj] = union[jj, ii] = True
         self.layout = layout = BlockLayout.of(union)
         at = np.empty(n * n, dtype=np.intp)         # the packed position of a dense entry
         at[layout.index] = np.arange(layout.width)
-        self.upper, self.lower = at[self.ii * n + self.jj], at[self.jj * n + self.ii]
+        self.upper, self.lower = at[ii * n + jj], at[jj * n + ii]
         self.nominal_bits = np.arange(len(edges)) < model.m_drop
         # the adjacency entry of an edge whose bit differs from nominal
         self.flipped = np.array([0.0] * model.m_drop + [e[2] for e in model.add_edges])
-        self.laplacian = model.nominal.kind == LAPLACIAN
-        base = a
-        if self.laplacian:
-            base, self.flipped = -a, -self.flipped
-            base[np.arange(n), np.arange(n)] = a.sum(axis=1)
-            # where each node's row of its block starts in a packed shift, and its length
-            _, self.row_start, self.row_size = np.unique(
-                layout.index // n, return_index=True, return_counts=True)
-            self.diag = at[np.arange(n) * (n + 1)]
-        self.base = base.reshape(-1)[layout.index]
+        self.base = a.reshape(-1)[layout.index]
         self.local = threading.local()
 
     def __getstate__(self):       # copies get workspaces of their own
@@ -372,18 +348,7 @@ class _Sampler:
         r, e = np.divmod(np.flatnonzero(bits != self.nominal_bits), bits.shape[1])
         upper, lower = r * w + self.upper[e], r * w + self.lower[e]
         flat[upper] = flat[lower] = self.flipped[e]
-        if not self.laplacian or not e.size:
-            return np.concatenate([upper, lower])
-        # the diagonal is the row sum of the realized adjacency, -L off it
-        n = self.diag.size
-        r, v = np.divmod(np.unique(np.concatenate([r * n + self.ii[e], r * n + self.jj[e]])), n)
-        diag = r * w + self.diag[v]
-        flat[diag] = -0.0
-        size = self.row_size[v]
-        starts = np.cumsum(size) - size                 # of each row in the gathered ones
-        rows = np.repeat(r * w + self.row_start[v] - starts, size) + np.arange(size.sum())
-        flat[diag] = -np.add.reduceat(flat[rows], starts)
-        return np.concatenate([upper, lower, diag])
+        return np.concatenate([upper, lower])
 
 
 def _kept_edges(model: GresModel):
@@ -413,27 +378,22 @@ def sample_gres_batch(model: GresModel, count: int, rng: np.random.Generator) ->
 
 
 def expected_shift(model: GresModel) -> ShiftOperator:
-    """Entrywise mean of the sampled shift.
-
-    Drop-edge weights scale by (1 - p) and add-edge weights by q; the
-    Laplacian case is built from the scaled edge weights (D - A is linear in
-    the weights, so this is the exact expectation).
-    """
+    """Entrywise mean of the sampled shift: drop-edge weights scale by (1 - p)
+    and add-edge weights by q."""
     edges = list(_kept_edges(model))
     edges += [(i, j, w * (1.0 - model.p)) for i, j, w in model.drop_edges]
     edges += [(i, j, w * model.q) for i, j, w in model.add_edges]
     g = Graph(model.n, tuple(e for e in edges if e[2] != 0.0))
-    return build_shift(g, model.nominal.kind)
+    return build_shift(g)
 
 
 def expected_square(model: GresModel) -> np.ndarray:
-    """Closed-form E[S_k^2] of a GRES realization.
+    """Closed-form E[S_k^2] of a GRES realization,
 
-    Adjacency:  mean^2 + p(1-p) D_d + q(1-q) D_a
-    Laplacian:  mean^2 + 2 p(1-p) L_d + 2 q(1-q) L_a
+        mean^2 + p(1-p) D_d + q(1-q) D_a,
 
-    where D_d / D_a are the degree matrices and L_d / L_a the Laplacians of
-    the drop / add subgraphs, with each edge counted at its squared weight.
+    where D_d / D_a are the degree matrices of the drop / add subgraphs,
+    with each edge counted at its squared weight.
     """
     sbar = expected_shift(model).entries
     out = sbar @ sbar
@@ -443,19 +403,9 @@ def expected_square(model: GresModel) -> np.ndarray:
         return Graph(n, tuple((i, j, w * w) for i, j, w in edges))
 
     if model.m_drop:
-        gd = sq_weight_graph(model.drop_edges)
-        coeff = model.p * (1.0 - model.p)
-        if model.nominal.kind == ADJACENCY:
-            out = out + coeff * np.diag(gd.degree())
-        else:
-            out = out + 2.0 * coeff * build_shift(gd, LAPLACIAN).entries
+        out = out + model.p * (1.0 - model.p) * np.diag(sq_weight_graph(model.drop_edges).degree())
     if model.m_add:
-        ga = sq_weight_graph(model.add_edges)
-        coeff = model.q * (1.0 - model.q)
-        if model.nominal.kind == ADJACENCY:
-            out = out + coeff * np.diag(ga.degree())
-        else:
-            out = out + 2.0 * coeff * build_shift(ga, LAPLACIAN).entries
+        out = out + model.q * (1.0 - model.q) * np.diag(sq_weight_graph(model.add_edges).degree())
     return out
 
 
@@ -595,7 +545,7 @@ def save_shift(csv_path, shift: ShiftOperator, gres: GresModel | None = None) ->
         writer.writerow(["i", "j", "w"])
         for i, j, w in shift.edges():
             writer.writerow([i, j, repr(w)])
-    meta = {"n": shift.n, "kind": shift.kind, "gres": None}
+    meta = {"n": shift.n, "kind": ADJACENCY, "gres": None}
     if gres is not None:
         meta["gres"] = {
             "drop_edges": [list(e) for e in gres.drop_edges],

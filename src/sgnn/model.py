@@ -197,28 +197,19 @@ def init_params(arch: Architecture, rng: np.random.Generator, n: int | None = No
 # ---------------------------------------------------------------------------
 
 
-def layer_positions(arch: Architecture, mode: str) -> list:
-    """Per layer, the index shape of its random shifts: (F_out, F_in, K) or (K,)."""
-    if mode == PER_FILTER:
-        return [(arch.features[l + 1], arch.features[l], arch.order)
-                for l in range(arch.layers)]
-    return [(arch.order,)] * arch.layers
-
-
 @dataclass
 class Realizations:
     """``count`` realization sequences: every shift the forward passes consume.
 
-    ``layers[l]`` is indexed (count, F_out, F_in, K) in per-filter mode, a
-    draw per filter and tap, and (count, K) in shared mode, a draw per tap
-    for the whole bank.  Its trailing axis holds the presence bits of the
-    random edges of ``gres``; their shifts exist only while a layer is
+    ``layers[l]`` is indexed (count, F_out, F_in, K), a shift per filter and
+    tap; a shared draw is a read-only view broadcast over (F_out, F_in) (see
+    ``estimators.sample_stack``).  Its trailing axis holds the presence bits
+    of the random edges of ``gres``; their shifts exist only while a layer is
     applied, as the blocks of the components of ``gres.layout``.  With
     ``gres`` None, two trailing axes hold n x n matrices, one block of size n.
     """
 
     layers: list
-    mode: str
     n: int
     gres: object = None
 
@@ -227,19 +218,20 @@ class Realizations:
         return self.layers[0].shape[0]
 
     @classmethod
-    def from_rows(cls, arch: Architecture, mode: str, n: int, rows, gres=None):
+    def from_rows(cls, arch: Architecture, n: int, rows, gres=None):
         """One sequence from per-shift n x n matrices, or ``gres`` bits, in sampling order."""
         rows = np.asarray(rows) if gres else np.asarray(rows, dtype=float).reshape(-1, n, n)
         layers, pos = [], 0
-        for shape in layer_positions(arch, mode):
+        for l in range(arch.layers):
+            shape = (arch.features[l + 1], arch.features[l], arch.order)
             size = int(np.prod(shape))
             layers.append(rows[pos:pos + size].reshape((1,) + shape + rows.shape[1:]))
             pos += size
-        return cls(layers, mode, n, gres)
+        return cls(layers, n, gres)
 
     def seq(self, j: int) -> "Realizations":
         """The j-th sequence as a one-realization view."""
-        return Realizations([a[j:j + 1] for a in self.layers], self.mode, self.n, self.gres)
+        return Realizations([a[j:j + 1] for a in self.layers], self.n, self.gres)
 
     @property
     def layout(self):
@@ -250,8 +242,8 @@ class Realizations:
 
     def hops(self, layer: int) -> np.ndarray:
         """A layer's shifts as packed blocks of ``layout``, hop first: (K, count,
-        F_out, F_in, width) or (K, count, width).  Mask realizations are in
-        this thread's GRES workspace, where one hop's shifts lie together."""
+        F_out, F_in, width).  Mask realizations are in this thread's GRES
+        workspace, where one hop's shifts lie together."""
         a = self.layers[layer]
         if self.gres is None:
             return np.moveaxis(a.reshape(a.shape[:-2] + (self.n * self.n,)), -2, 0)
@@ -263,10 +255,8 @@ class Realizations:
         """The shift at hop k (1-based) of filter (f, g) of a one-realization view."""
         if self.count != 1:
             raise ConfigError("shift() reads one sequence; take seq(j) first")
-        pos = (0, f, g, k - 1) if self.mode == PER_FILTER else (0, k - 1)
-        if self.gres is None:
-            return self.layers[layer][pos]
-        return self.gres.realize(self.layers[layer][pos][None])[0]
+        a = self.layers[layer][0, f, g, k - 1]
+        return a if self.gres is None else self.gres.realize(a[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +275,7 @@ class ForwardTape:
     params: SgnnParams
     stack: Realizations
     layer_inputs: list    # per layer: (N, F_in, n, B)
-    shifted: list         # per layer: list over k=1..K of (N, F, G, n, B) or (N, G, n, B)
+    shifted: list         # per layer: list over k=1..K of (N, F, G, n, B)
     preacts: list         # per layer: (N, F_out, n, B)
     output: np.ndarray    # (N, F_L, n, B) activations of the last layer
     logits: np.ndarray | None
@@ -344,17 +334,19 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     stops being finite.  ``output`` and ``logits`` are always new arrays the
     caller owns, bit-identical with and without ``keep_tape``.
 
-    Each hop multiplies the blocks of ``stack.layout``, one product per
-    block size, on signals in its component order: ``x`` is reordered on
-    entry and the output back before the readout.  The tape keeps that
-    order.
+    Every filter (f, g) carries its input through its own K hops, so a
+    shared draw, broadcast over the bank, costs as many products as
+    independent ones.  Each hop multiplies the blocks of ``stack.layout``,
+    one product per block size, on signals in its component order: ``x`` is
+    reordered on entry and the output back before the readout.  The tape
+    keeps that order.
 
     Mask realizations keep the other arrays in buffers of this thread and
     ``stack.gres``; explicit matrices (``gres`` None) allocate them afresh.
     A taped pass borrows its tape (hops, pre-activations, inputs of layers
     >= 1) from the thread's one spare set, the buffers the last
     ``backward_stack`` on this thread gave back, if that pass had the same
-    mode, realization count and input and tap layouts; otherwise it
+    realization count and input and tap layouts; otherwise it
     allocates.  The tape keeps them until ``backward_stack`` consumes it, so
     a pending tape is never overwritten.
     Without a tape the hops, like every pass's temporaries, go into the
@@ -365,12 +357,10 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     n, count = stack.n, stack.count
     if x.shape[0] != arch.features[0] or x.shape[1] != n:
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
-    per_filter = stack.mode == PER_FILTER
-    spec = "fg,nfgib->nfib" if per_filter else "fg,ngib->nfib"
     gres, layout = stack.gres, stack.layout
     pool = None if gres is None else gres.thread_cache("hops")
     if keep_tape:
-        signature = (stack.mode, count, x.shape, x.strides) + tuple(
+        signature = (count, x.shape, x.strides) + tuple(
             (t.shape, t.strides) for t in params.taps)
         spare = iter(() if gres is None else gres.thread_cache("tapes").pop(signature, ()))
         loans = []
@@ -382,18 +372,16 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     for l in range(arch.layers):
         taps = params.taps[l]
         s = stack.hops(l)
-        key = (stack.mode, l, taps.shape, taps.strides, cur.shape, cur.strides)
-        z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:]) \
-            if per_filter else cur
+        key = (l, taps.shape, taps.strides, cur.shape, cur.strides)
+        z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:])
         u = hold(("u",) + key,
                  lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
         zs = []
         for k in range(arch.order):
-            hop = s[k] if per_filter else s[k][:, None]
-            z = hold(("z", k % 2) + key, lambda out: layout.apply(hop, z, out))
+            z = hold(("z", k % 2) + key, lambda out: layout.apply(s[k], z, out))
             zs.append(z)
             u += _reused(pool, ("term",) + key,
-                         lambda out: np.einsum(spec, taps[:, :, k + 1], z, out=out))
+                         lambda out: np.einsum("fg,nfgib->nfib", taps[:, :, k + 1], z, out=out))
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite pre-activation at layer {l}")
         if keep_tape:
@@ -466,12 +454,10 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     d_cur = _reorder(d_cur, layout.perm, 2)       # into the tape's component order
 
     k_order = arch.order
-    per_filter = stack.mode == PER_FILTER
-    spec = "nfib,nfgib->fg" if per_filter else "nfib,ngib->fg"
     for l in reversed(range(arch.layers)):
         taps = params.taps[l]
         u, zs = tape.preacts[l], tape.shifted[l]
-        key = (stack.mode, l, taps.shape, taps.strides, u.shape, u.strides,
+        key = (l, taps.shape, taps.strides, u.shape, u.strides,
                d_cur.shape, d_cur.strides)
         # A new buffer comes from the expression a fresh result would: NumPy may
         # evaluate `temporary * x` or `temporary + x` in place in a large
@@ -481,26 +467,23 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
         g = grads[l]
         g[:, :, 0] = np.einsum("nfib,ngib->fg", du, tape.layer_inputs[l])
         for k in range(k_order):
-            g[:, :, k + 1] = np.einsum(spec, du, zs[k])
+            g[:, :, k + 1] = np.einsum("nfib,nfgib->fg", du, zs[k])
         if l == 0:
             break
         s = stack.hops(l)
 
-        def tap_term(k):      # hop k's tap times du, summed over f in shared mode
-            if per_filter:
-                return lambda out: np.multiply(taps[:, :, k, None, None], du[:, :, None], out=out)
-            return lambda out: np.einsum("fg,nfib->ngib", taps[:, :, k], du, out=out)
+        def tap_term(k, out):     # hop k's tap times du, per filter
+            return np.multiply(taps[:, :, k, None, None], du[:, :, None], out=out)
 
-        acc = _reused(pool, ("tap",) + key, tap_term(k_order))
+        acc = _reused(pool, ("tap",) + key, lambda out: tap_term(k_order, out))
         for k in range(k_order - 1, -1, -1):
-            hop = s[k] if per_filter else s[k][:, None]
             mm = _reused(pool, ("mm", acc.strides) + key,
-                         lambda out: layout.apply(hop, acc, out, transpose=True))
+                         lambda out: layout.apply(s[k], acc, out, transpose=True))
             # acc was read, so its buffer may take the next one
-            acc = _reused(pool, ("acc", mm.strides) + key, lambda out: tap_term(k)(None) + mm
-                          if out is None else np.add(tap_term(k)(out), mm, out=out))
-        d_cur = acc if not per_filter else _reused(
-            pool, ("d_cur", acc.strides) + key, lambda out: np.sum(acc, axis=1, out=out))
+            acc = _reused(pool, ("acc", mm.strides) + key, lambda out: tap_term(k, None) + mm
+                          if out is None else np.add(tap_term(k, out), mm, out=out))
+        d_cur = _reused(pool, ("d_cur", acc.strides) + key,
+                        lambda out: np.sum(acc, axis=1, out=out))
 
     if stack.gres is not None:
         spares = stack.gres.thread_cache("tapes")    # one spare set per thread

@@ -173,6 +173,10 @@ class TrainConfig:
             raise ConfigError("step sizes must be nonnegative")
         if self.gamma_steps < 1:
             raise ConfigError("need at least one primal step per iteration")
+        if self.n_realizations < 1 or self.batch_size < 1:
+            raise ConfigError("n_realizations and batch_size must be >= 1")
+        if self.max_iters < 0:
+            raise ConfigError("max_iters must be >= 0")
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.optimizer not in (SGD, ADAM):

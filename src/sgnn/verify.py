@@ -26,9 +26,8 @@ from .estimators import (
     estimate_moments,
     sample_stack,
 )
-from .graphs import GresModel, ShiftOperator, enumerate_gres, expected_square
+from .graphs import ADJACENCY, GresModel, ShiftOperator, enumerate_gres, expected_square
 from .model import (
-    PER_FILTER,
     Realizations,
     SgnnParams,
     forward_stack,
@@ -245,7 +244,7 @@ def check_moment_formula(model: GresModel) -> BoundReport:
     err = float(np.max(np.abs(acc - formula)))
     return BoundReport(
         "moment-formula", err, 1e-12, 0.0,
-        inputs={"kind": model.nominal.kind, "m_drop": model.m_drop,
+        inputs={"kind": ADJACENCY, "m_drop": model.m_drop,
                 "m_add": model.m_add, "p": model.p, "q": model.q,
                 "method": "enumeration"},
     )
@@ -280,15 +279,15 @@ def check_stability(params: SgnnParams, nominal: ShiftOperator, eps_list,
     c_b = arch.order * c_l * arch.layers * arch.lipschitz_sigma() ** arch.layers \
         * width_product * x_norm
     xb = x[None, :, None]
-    n_shifts = arch.shift_count(PER_FILTER)
+    n_shifts = arch.shift_count()
     mean_dev = []
     for eps in eps_list:
         devs = np.empty(trials)
         for t in range(trials):
             base = [nominal.entries.copy() for _ in range(n_shifts)]
             pert = [b + _random_direction(n, eps, rng) for b in base]
-            seq0 = Realizations.from_rows(arch, PER_FILTER, n, base)
-            seq1 = Realizations.from_rows(arch, PER_FILTER, n, pert)
+            seq0 = Realizations.from_rows(arch, n, base)
+            seq1 = Realizations.from_rows(arch, n, pert)
             t0 = forward_stack(params, seq0, xb, keep_tape=False)
             t1 = forward_stack(params, seq1, xb, keep_tape=False)
             devs[t] = np.linalg.norm(t1.output - t0.output)
@@ -312,7 +311,7 @@ def check_output_bound(params: SgnnParams, gres: GresModel, draws: int,
     worst_ratio = 0.0
     for _ in range(draws):
         x = rng.normal(size=gres.n)
-        stack = sample_stack(gres, arch, 1, rng, PER_FILTER)
+        stack = sample_stack(gres, arch, 1, rng)
         tape = forward_stack(params, stack, x[None, :, None], keep_tape=False)
         c_y = output_bound(arch, float(np.linalg.norm(x)))
         ratio = float(np.linalg.norm(tape.output) / c_y)

@@ -4,7 +4,7 @@ import pytest
 from sgnn import experiments as X
 from sgnn import graphs as G
 from sgnn.estimators import McConfig, sample_stack
-from sgnn.model import PER_FILTER, Architecture, Realizations, forward_stack, init_params
+from sgnn.model import PER_FILTER, SHARED, Architecture, Realizations, forward_stack, init_params
 
 
 def random_symmetric(n, rng, scale=0.25):
@@ -14,16 +14,21 @@ def random_symmetric(n, rng, scale=0.25):
 
 def random_seq(arch: Architecture, n: int, rng, mode=PER_FILTER,
                scale=0.25) -> Realizations:
-    """Independent random symmetric shifts for every position."""
+    """Independent random symmetric shifts for every position; in shared mode
+    one per layer and tap, repeated over the bank."""
     count = arch.shift_count(mode)
     mats = [random_symmetric(n, rng, scale) for _ in range(count)]
-    return Realizations.from_rows(arch, mode, n, mats)
+    if mode == SHARED:
+        k, f = arch.order, arch.features
+        mats = [mats[l * k + t] for l in range(arch.layers)
+                for _ in range(f[l + 1] * f[l]) for t in range(k)]
+    return Realizations.from_rows(arch, n, mats)
 
 
-def small_gres(n=6, p=0.3, q=0.2, kind=G.ADJACENCY, seed=0, normalize=True):
+def small_gres(n=6, p=0.3, q=0.2, seed=0, normalize=True):
     rng = np.random.default_rng(seed)
     g = G.sbm_generate(n, 2, 0.9, 0.4, rng)
-    s = G.build_shift(g, kind)
+    s = G.build_shift(g)
     if normalize:
         s = G.normalize_shift(s)
     edges = s.edges()

@@ -9,18 +9,25 @@ records a span for every layer.
 
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 from sgnn import estimators, experiments, training
 from sgnn.experiments import ExperimentConfig, SourceLocConfig
 from sgnn.model import Architecture
 from sgnn.training import PRIMAL_DUAL, TrainConfig
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "benchmark"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 import probes  # noqa: E402
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
+    WORKLOADS = [w["name"] for w in json.load(_f)["workloads"]]
 
 # Stale in the benchmark itself: estimators stopped calling sample_gres_batch
 # when realizations became edge masks (the draw is graphs.sample_gres_masks).
@@ -70,3 +77,15 @@ def test_a_traced_cell_records_every_layer():
     start, end = probe.iter_stamps[1], probe.iter_stamps[2]
     assert Counter(s[0] for s in tracer.spans if start <= s[1] < end) == {
         "sample": 2, "forward": 2, "loss": 3, "backward": 1, "optimizer": 1, "append": 1}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_a_short_benchmark_run_is_correct(workload):
+    """The whole benchmark, checks included, on a one-second run of the program."""
+    run = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -126,6 +126,28 @@ class TestTrainCommand:
         assert "cv_values must be a list" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("override", [
+        "train.n_realizations=0", "train.batch_size=0", "train.max_iters=-1",
+        'sweep.p_values=["a"]', "sweep.p_values=[1.0]", "sweep.p_values=[NaN]",
+        "sweep.graph_seeds=[-1]", "sweep.graph_seeds=[0.5]", "sweep.graph_seeds=[true]",
+        "sweep.p_values=[]", "sweep.modes=[]", "sweep.graph_seeds=[]",
+        "cost_window=0", "eval_draws=0"])
+    def test_bad_count_or_sweep_value_exits_two_before_any_cell(self, tiny_config, tmp_path,
+                                                                 capsys, override):
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                       "--override", override])
+        assert rc == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_shared_realizations_train_end_to_end(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--config", tiny_config, "--out", str(out),
+                       "--override", 'train.realization_mode="shared"'])
+        assert rc == cli.EXIT_OK
+        assert len(TrainTrace.from_csv(out / "trace.csv").rows) == 3
+
     def test_wrong_schema_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {"schema": 99})
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -50,14 +50,24 @@ class TestSampleRealizationSeq:
         assert any(not np.array_equal(realized(a, l), realized(b, l))
                    for l in range(arch.layers))
 
-    def test_shared_mode_shape(self, rng):
+    def test_shared_mode_shape(self, rng, monkeypatch):
         gres = small_gres()
         arch = Architecture((1, 3, 1), 2)
-        seq = E.sample_stack(gres, arch, 1, rng, mode=SHARED)
-        assert realized(seq, 0).shape == (1, 2, gres.n, gres.n)
-        assert sum(a[0, ..., 0].size for a in seq.layers) == arch.shift_count(SHARED)
+        draws = []
+        monkeypatch.setattr(E, "sample_gres_masks",
+                            lambda *a: draws.append(a[1]) or G.sample_gres_masks(*a))
+        seq = E.sample_stack(gres, arch, 2, rng, mode=SHARED)
+        assert draws == [2 * arch.order] * arch.layers
+        assert sum(draws) == 2 * arch.shift_count(SHARED)
+        for l, bits in enumerate(seq.layers):
+            f_out, f_in = arch.features[l + 1], arch.features[l]
+            assert bits.shape == (2, f_out, f_in, arch.order, gres.m_drop + gres.m_add)
+            assert not bits.flags.writeable
+            np.testing.assert_array_equal(bits, np.broadcast_to(bits[:, :1, :1], bits.shape))
+        assert realized(seq, 0).shape == (2, 3, 1, 2, gres.n, gres.n)
         for k in (1, 2):
-            np.testing.assert_array_equal(seq.shift(0, 2, 0, k), seq.shift(0, 0, 0, k))
+            np.testing.assert_array_equal(seq.seq(1).shift(0, 2, 0, k),
+                                          seq.seq(1).shift(0, 0, 0, k))
 
 
 def linear_filter_params(h0, h1):

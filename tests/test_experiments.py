@@ -217,7 +217,7 @@ class TestRecsysTask:
     def test_nominal_and_added_edges_share_one_scale(self, small_ratings):
         task = X.build_recsys_task(small_ratings, X.RecsysConfig(keep_top=15, add_next=8), 0.1)
         shift = G.build_shift(task.graph, G.ADJACENCY)
-        rho = G.ShiftOperator(shift.n, shift.entries.copy(), shift.kind).spectral_radius()
+        rho = G.ShiftOperator(shift.n, shift.entries.copy()).spectral_radius()
         np.testing.assert_allclose(task.gres.nominal.entries, shift.entries / rho, rtol=1e-12)
         remap = {int(orig): k for k, orig in enumerate(task.covered_items)}
         runners_up = G.pearson_correlations(small_ratings, top=23)[15:]

@@ -21,15 +21,10 @@ class TestBuildShift:
         s = G.build_shift(g, G.ADJACENCY)
         np.testing.assert_array_equal(s.entries, [[0, 1], [1, 0]])
 
-    def test_two_node_laplacian(self):
+    def test_other_kinds_rejected(self):
         g = G.Graph(2, ((0, 1, 1.0),))
-        s = G.build_shift(g, G.LAPLACIAN)
-        np.testing.assert_array_equal(s.entries, [[1, -1], [-1, 1]])
-
-    def test_triangle_laplacian_spectrum(self):
-        g = G.Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-        lam = np.linalg.eigvalsh(G.build_shift(g, G.LAPLACIAN).entries)
-        np.testing.assert_allclose(lam, [0.0, 3.0, 3.0], atol=1e-10)
+        with pytest.raises(GraphError, match="adjacency"):
+            G.build_shift(g, "laplacian")
 
     def test_empty_graph_zero_matrix(self):
         s = G.build_shift(G.Graph(3), G.ADJACENCY)
@@ -45,29 +40,27 @@ class TestBuildShift:
 
     def test_edge_recovery_round_trip(self):
         g = G.Graph(4, ((0, 1, 0.5), (2, 3, -1.5), (0, 3, 2.0)))
-        for kind in G.KINDS:
-            s = G.build_shift(g, kind)
-            assert set(s.edges()) == set(g.edges)
+        s = G.build_shift(g)
+        assert set(s.edges()) == set(g.edges)
 
 
-def small_model(kind=G.ADJACENCY, p=0.4, q=0.3):
+def small_model(p=0.4, q=0.3):
     g = G.Graph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 2.0)))
-    s = G.build_shift(g, kind)
+    s = G.build_shift(g)
     return G.GresModel(s, drop_edges=s.edges()[:2], add_edges=((0, 2, 1.5),), p=p, q=q)
 
 
 def sample_one(m, rng):
-    """One realization as a validated shift operator (symmetry, Laplacian row sums)."""
-    return G.ShiftOperator(m.n, G.sample_gres_batch(m, 1, rng)[0], m.nominal.kind)
+    """One realization as a validated (symmetric) shift operator."""
+    return G.ShiftOperator(m.n, G.sample_gres_batch(m, 1, rng)[0])
 
 
 class TestSampleGres:
     def test_degenerate_probabilities_reproduce_nominal(self):
-        for kind in G.KINDS:
-            m = small_model(kind, p=0.0, q=0.0)
-            for seed in (0, 1, 99):
-                out = sample_one(m, np.random.default_rng(seed))
-                np.testing.assert_array_equal(out.entries, m.nominal.entries)
+        m = small_model(p=0.0, q=0.0)
+        for seed in (0, 1, 99):
+            out = sample_one(m, np.random.default_rng(seed))
+            np.testing.assert_array_equal(out.entries, m.nominal.entries)
 
     def test_p_equal_one_rejected(self):
         g = G.Graph(2, ((0, 1, 1.0),))
@@ -84,7 +77,7 @@ class TestSampleGres:
         assert abs(drop_freq - 0.5) <= 3 * np.sqrt(0.25 / 100000)
 
     def test_differs_only_on_random_positions(self):
-        m = small_model(G.ADJACENCY)
+        m = small_model()
         random_pos = {(i, j) for i, j, _ in m.drop_edges + m.add_edges}
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -94,21 +87,14 @@ class TestSampleGres:
                 pair = (min(i, j), max(i, j))
                 assert pair in random_pos
 
-    def test_laplacian_rows_sum_zero_exactly(self):
-        m = small_model(G.LAPLACIAN)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            out = sample_one(m, rng)
-            np.testing.assert_array_equal(out.entries.sum(axis=1), np.zeros(4))
-
     def test_distinct_streams_differ(self):
-        m = small_model(G.ADJACENCY, p=0.5, q=0.5)
+        m = small_model(p=0.5, q=0.5)
         a = G.sample_gres_batch(m, 20, np.random.default_rng(1))
         b = G.sample_gres_batch(m, 20, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
     def test_same_seed_identical(self):
-        m = small_model(G.ADJACENCY)
+        m = small_model()
         a = G.sample_gres_batch(m, 10, np.random.default_rng(42))
         b = G.sample_gres_batch(m, 10, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
@@ -125,9 +111,8 @@ class TestExpectedShift:
         m = G.GresModel(s, drop_edges=s.edges(), p=0.3)
         assert G.expected_shift(m).entries[0, 1] == pytest.approx(0.7)
 
-    @pytest.mark.parametrize("kind", G.KINDS)
-    def test_monte_carlo_mean_matches(self, kind):
-        m = small_model(kind)
+    def test_monte_carlo_mean_matches(self):
+        m = small_model()
         draws = G.sample_gres_batch(m, 100000, np.random.default_rng(11))
         emp = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -135,7 +120,7 @@ class TestExpectedShift:
         assert np.all(gap <= 3 * se + 1e-12)
 
     def test_loop_sampler_mean_matches(self):
-        m = small_model(G.ADJACENCY)
+        m = small_model()
         rng = np.random.default_rng(13)
         acc = np.zeros((4, 4))
         n = 2000
@@ -158,19 +143,13 @@ class TestExpectedSquare:
         acc = sum(prob * (mat @ mat) for prob, mat in G.enumerate_gres(m))
         assert np.abs(acc - G.expected_square(m)).max() <= 1e-12
 
-    def test_four_node_laplacian_with_adds(self):
-        m = small_model(G.LAPLACIAN, p=0.3, q=0.6)
-        acc = sum(prob * (mat @ mat) for prob, mat in G.enumerate_gres(m))
-        assert np.abs(acc - G.expected_square(m)).max() <= 1e-12
-
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_enumeration_property(self, data):
         n = data.draw(st.integers(3, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
         g = G.sbm_generate(n, 1, 0.7, 0.7, rng)
-        kind = data.draw(st.sampled_from(G.KINDS))
-        s = G.build_shift(g, kind)
+        s = G.build_shift(g)
         edges = s.edges()
         n_drop = min(len(edges), data.draw(st.integers(0, 3)))
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -354,18 +333,18 @@ class TestPearson:
 
 class TestNormalizeShift:
     def test_scales_spectrum_into_unit_interval(self):
-        s = G.ShiftOperator(2, np.array([[0.0, 3.0], [3.0, 0.0]]), G.ADJACENCY)
+        s = G.ShiftOperator(2, np.array([[0.0, 3.0], [3.0, 0.0]]))
         out = G.normalize_shift(s)
         assert np.all(np.abs(np.linalg.eigvalsh(out.entries)) <= 1 + 1e-10)
 
     def test_unit_radius_unchanged(self):
-        s = G.ShiftOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]), G.ADJACENCY)
+        s = G.ShiftOperator(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = G.normalize_shift(s)
         assert np.abs(out.entries - s.entries).max() <= 1e-12
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(GraphError):
-            G.normalize_shift(G.ShiftOperator(2, np.zeros((2, 2)), G.ADJACENCY))
+            G.normalize_shift(G.ShiftOperator(2, np.zeros((2, 2))))
 
     def test_random_sbm_radius_one(self):
         g = G.sbm_generate(20, 4, 0.7, 0.2, np.random.default_rng(3))
@@ -392,7 +371,7 @@ def read_shift(path):
 
 class TestSerialization:
     def test_shift_round_trip(self, tmp_path):
-        m = small_model(G.LAPLACIAN)
+        m = small_model()
         path = tmp_path / "graph.csv"
         G.save_shift(path, m.nominal, m)
         shift, model = read_shift(path)

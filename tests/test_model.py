@@ -37,7 +37,7 @@ def filter_output(h, shifts, x):
     arch = M.Architecture((1, 1), h.size - 1, activation="identity")
     params = M.SgnnParams(arch, [h[None, None]])
     n = len(shifts[0]) if len(shifts) else x.shape[0]
-    seq = M.Realizations.from_rows(arch, M.PER_FILTER, n, shifts)
+    seq = M.Realizations.from_rows(arch, n, shifts)
     return M.forward_stack(params, seq, x[None, :, None]).output[0, 0, :, 0]
 
 

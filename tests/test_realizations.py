@@ -31,15 +31,15 @@ def dense_reference(gres, arch, count, rng, mode):
     """Per layer, the shifts drawn and built densely, one uniform per edge.
 
     Mirrors the sampling contract: per layer, all drop uniforms, then all add
-    uniforms.
+    uniforms; a shared draw repeated over the bank.
     """
     n = gres.n
     drops = set(gres.drop_edges)
     kept = [e for e in gres.nominal.edges() if e not in drops]
     layers = []
     for l in range(arch.layers):
-        shape = (arch.features[l + 1], arch.features[l], arch.order) \
-            if mode == PER_FILTER else (arch.order,)
+        bank = (arch.features[l + 1], arch.features[l])
+        shape = (bank if mode == PER_FILTER else (1, 1)) + (arch.order,)
         rows = count * int(np.prod(shape))
         a = np.zeros((rows, n, n))
         for i, j, w in kept:
@@ -52,19 +52,14 @@ def dense_reference(gres, arch, count, rng, mode):
             u = rng.random((rows, gres.m_add))
             for t, (i, j, w) in enumerate(gres.add_edges):
                 a[:, i, j] = a[:, j, i] = np.where(u[:, t] < gres.q, w, 0.0)
-        if gres.nominal.kind == G.LAPLACIAN:
-            lap = -a
-            for r in range(rows):
-                lap[r][np.diag_indices(n)] = a[r].sum(axis=1)
-            a = lap
-        layers.append(a.reshape((count,) + shape + (n, n)))
+        a = a.reshape((count,) + shape + (n, n))
+        layers.append(np.broadcast_to(a, (count,) + bank + a.shape[-3:]))
     return layers
 
 
-@pytest.mark.parametrize("kind", G.KINDS)
 @pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
-def test_sample_stack_matches_dense_construction(kind, mode):
-    gres = small_gres(n=7, p=0.4, q=0.3, kind=kind, seed=2)
+def test_sample_stack_matches_dense_construction(mode):
+    gres = small_gres(n=7, p=0.4, q=0.3, seed=2)
     assert gres.m_drop and gres.m_add
     arch = Architecture((1, 3, 2), 2)
     stacks, refs = [], []
@@ -82,18 +77,15 @@ def test_sample_stack_matches_dense_construction(kind, mode):
     seq = stacks[2].seq(1)
     for l, (f, g) in enumerate([(2, 0), (1, 2)]):
         for k in range(1, arch.order + 1):
-            pos = (1, f, g, k - 1) if mode == PER_FILTER else (1, k - 1)
-            np.testing.assert_array_equal(seq.shift(l, f, g, k), refs[2][l][pos])
+            np.testing.assert_array_equal(seq.shift(l, f, g, k), refs[2][l][1, f, g, k - 1])
 
 
 def test_enumeration_walks_every_mask_once():
-    gres = small_gres(n=6, p=0.3, q=0.2, kind=G.LAPLACIAN)
+    gres = small_gres(n=6, p=0.3, q=0.2)
     pairs = list(G.enumerate_gres(gres))
     assert len(pairs) == 1 << (gres.m_drop + gres.m_add)
     assert sum(p for p, _ in pairs) == pytest.approx(1.0, abs=1e-15)
     assert len({m.tobytes() for _, m in pairs}) == len(pairs)
-    for _, m in pairs:
-        np.testing.assert_allclose(m.sum(axis=1), np.zeros(gres.n), atol=1e-12)
 
 
 def _objective_grads(params, stack, x):
@@ -173,7 +165,7 @@ def test_repeated_lagrangians_reuse_one_tape_and_match_explicit_matrices(monkeyp
     def as_matrices(gres, arch, count, rng, mode):
         stack = sample_stack(gres, arch, count, rng, mode)
         bits = np.concatenate([a.reshape(-1, a.shape[-1]) for a in stack.layers])
-        return Realizations.from_rows(arch, mode, gres.n, gres.realize(bits))
+        return Realizations.from_rows(arch, gres.n, gres.realize(bits))
 
     monkeypatch.setattr(training, "sample_stack", as_matrices)
     for seed, (value, grads) in enumerate(masks):
@@ -308,7 +300,7 @@ def test_a_copied_model_gets_its_own_workspace():
 # ---------------------------------------------------------------------------
 
 
-def forest_gres(kind, p=0.4, q=0.3):
+def forest_gres(p=0.4, q=0.3):
     """Components of sizes 1, 2, 3 and 4 over scattered labels, with drop and add edges.
 
     Nodes 8, 10 and 13 are isolated; {6, 12} is joined by an add edge only.
@@ -317,14 +309,14 @@ def forest_gres(kind, p=0.4, q=0.3):
     nominal = [(0, 5), (1, 7), (2, 9), (9, 11), (4, 11)]
     graph = G.Graph(14, tuple((i, j, float(w)) for (i, j), w
                               in zip(nominal, rng.uniform(0.2, 1.0, len(nominal)))))
-    shift = G.build_shift(graph, kind)
+    shift = G.build_shift(graph)
     adds = ((3, 7, 0.6), (2, 4, 0.4), (6, 12, 0.8))
     return G.GresModel(shift, drop_edges=shift.edges()[::2], add_edges=adds, p=p, q=q)
 
 
-def sbm_gres(kind):
+def sbm_gres():
     g = G.sbm_generate(12, 3, 0.9, 0.3, np.random.default_rng(4))
-    s = G.normalize_shift(G.build_shift(g, kind))
+    s = G.normalize_shift(G.build_shift(g))
     pairs = {(i, j) for i, j, _ in s.edges()}
     absent = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) not in pairs]
     return G.GresModel(s, drop_edges=s.edges()[::2], add_edges=tuple(
@@ -336,26 +328,25 @@ def as_explicit(stack):
     gres = stack.gres
     layers = [gres.realize(a.reshape(-1, a.shape[-1])).reshape(a.shape[:-1] + (gres.n, gres.n))
               for a in stack.layers]
-    return Realizations(layers, stack.mode, gres.n)
+    return Realizations(layers, gres.n)
 
 
 def test_the_layout_groups_components_by_size_in_label_order():
-    layout = forest_gres(G.ADJACENCY).layout
+    layout = forest_gres().layout
     assert layout.classes == ((1, 3, 0, 0), (2, 2, 3, 3), (3, 1, 7, 11), (4, 1, 10, 20))
     np.testing.assert_array_equal(layout.perm, [8, 10, 13, 0, 5, 6, 12, 1, 3, 7, 2, 4, 9, 11])
     np.testing.assert_array_equal(layout.perm[layout.inverse], np.arange(14))
     assert layout.width == 3 + 2 * 4 + 9 + 16
-    connected = sbm_gres(G.ADJACENCY).layout
+    connected = sbm_gres().layout
     assert connected.classes == ((12, 1, 0, 0),)
     np.testing.assert_array_equal(connected.perm, np.arange(12))
 
 
 @pytest.mark.parametrize("count", [1, 10])
 @pytest.mark.parametrize("mode", [PER_FILTER, SHARED])
-@pytest.mark.parametrize("kind", G.KINDS)
 @pytest.mark.parametrize("make", [sbm_gres, forest_gres])
-def test_block_products_match_explicit_dense_shifts(make, kind, mode, count):
-    gres = make(kind)
+def test_block_products_match_explicit_dense_shifts(make, mode, count):
+    gres = make()
     assert gres.m_drop and gres.m_add
     arch = Architecture((2, 3, 1), 3, activation="leaky_relu", readout=4)
     params = init_params(arch, np.random.default_rng(5), n=gres.n)
@@ -376,7 +367,7 @@ def test_block_products_match_explicit_dense_shifts(make, kind, mode, count):
 
 
 def test_isolated_nodes_hop_to_positive_zero():
-    gres = forest_gres(G.ADJACENCY)
+    gres = forest_gres()
     arch = Architecture((1, 2, 1), 3)
     params = init_params(arch, np.random.default_rng(1))
     x = -np.abs(np.random.default_rng(2).normal(size=(1, gres.n, 5))) - 1.0

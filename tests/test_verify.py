@@ -134,12 +134,12 @@ class TestMomentFormulaCheck:
         assert rep.empirical == 0.0
 
     def test_enumeration_cases(self):
-        for kind in G.KINDS:
-            gres = small_gres(p=0.5, q=0.3, kind=kind, seed=7)
-            rep = V.check_moment_formula(gres)
-            assert rep.empirical <= 1e-12
-            assert rep.inputs["method"] == "enumeration"
-            assert not rep.violated
+        gres = small_gres(p=0.5, q=0.3, seed=7)
+        rep = V.check_moment_formula(gres)
+        assert rep.empirical <= 1e-12
+        assert rep.inputs["method"] == "enumeration"
+        assert rep.inputs["kind"] == "adjacency"
+        assert not rep.violated
 
 
 class TestStability:
