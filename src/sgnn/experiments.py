@@ -68,12 +68,10 @@ class LabeledDataset:
         return self.inputs.shape[0]
 
     def _batch_from(self, idx: np.ndarray) -> Batch:
-        x = np.moveaxis(self.inputs[idx], 0, -1)      # (F0, n, B)
-        if self.labels.ndim == 1:
-            return Batch(x, self.labels[idx])
-        y = np.moveaxis(self.labels[idx], 0, -1)      # (n, B)
-        m = np.moveaxis(self.masks[idx], 0, -1) if self.masks is not None else None
-        return Batch(x, y, m)
+        """Samples ``idx`` on the last axis, each array C-contiguous: x (F0, n, B),
+        labels (B,) or targets and masks (n, B)."""
+        return Batch(*(None if a is None else np.ascontiguousarray(np.moveaxis(a[idx], 0, -1))
+                       for a in (self.inputs, self.labels, self.masks)))
 
     def sample_batch(self, rng: np.random.Generator, size: int, split: str = "train") -> Batch:
         pool = self.splits[split]

@@ -252,13 +252,15 @@ class BlockLayout:
     block product adds its terms in the order a dense one does.  A packed
     shift holds each block row-major, class by class and component by
     component; ``index`` is the flat n x n position of each packed entry.
-    ``classes`` holds (size, components, first node, first entry) per size.
+    ``classes`` holds (size, components, first node, first entry) per size,
+    and ``identity`` tells whether component order is the label order.
     """
 
     perm: np.ndarray
     inverse: np.ndarray
     index: np.ndarray
     classes: tuple
+    identity: bool
 
     @classmethod
     def of(cls, adjacency: np.ndarray) -> "BlockLayout":
@@ -275,7 +277,8 @@ class BlockLayout:
             classes.append((int(s), len(group), node, entry))
             index.append((group[:, :, None] * n + group[:, None, :]).ravel())
             node, entry = node + int(members), entry + int(members * s)
-        return cls(perm, np.argsort(perm), np.concatenate(index), tuple(classes))
+        return cls(perm, np.argsort(perm), np.concatenate(index), tuple(classes),
+                   bool(np.all(perm == np.arange(n))))
 
     @property
     def width(self) -> int:

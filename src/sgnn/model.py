@@ -268,16 +268,17 @@ class Realizations:
 class ForwardTape:
     """Replayable record of one (stacked) forward pass.
 
-    An output-only pass leaves every field but ``output`` and ``logits`` None,
-    and so does ``backward_stack`` once it has consumed the tape.
+    Every array is C-contiguous and in component order.  An output-only pass
+    leaves every field but ``output`` and ``logits`` None, and so does
+    ``backward_stack`` once it has consumed the tape.
     """
 
     params: SgnnParams
     stack: Realizations
-    layer_inputs: list    # per layer: (N, F_in, n, B)
-    shifted: list         # per layer: list over k=1..K of (N, F, G, n, B)
+    layer_inputs: list    # per layer: (N, F_in, n, B); (1, F_0, n, B) for the first
+    shifted: list         # per layer: (N, F, G, K, n, B), hop k of filter (f, g) at [:, f, g, k-1]
     preacts: list         # per layer: (N, F_out, n, B)
-    output: np.ndarray    # (N, F_L, n, B) activations of the last layer
+    output: np.ndarray    # (N, F_L, n, B) activations of the last layer, in node order
     logits: np.ndarray | None
     loans: tuple | None = field(default=None, repr=False)   # (signature, borrowed buffers)
     _token: tuple = field(default=None, repr=False)
@@ -291,107 +292,109 @@ def _params_token(params: SgnnParams) -> tuple:
     return tuple(id(a) for a in params.arrays())
 
 
-def _reused(pool, key, compute):
-    """``compute(out)`` into ``pool[key]``.  The first call keeps compute(None): the
-    buffer has the layout NumPy picks, so later calls sum to the same bits.
+def _reused(pool, key, shape):
+    """A C-contiguous buffer of ``shape``, kept in ``pool`` under ``key`` and its size.
 
-    The next call with the same key on this thread overwrites the buffer, so
-    it serves as a temporary within one pass.  ``pool`` None allocates afresh.
+    The next call with the same key and size on this thread returns the same
+    memory, so it serves as a temporary within one pass.  ``pool`` None
+    allocates afresh.
     """
     if pool is None:
-        return compute(None)
-    if key in pool:
-        return compute(pool[key])
-    pool[key] = compute(None)
-    return pool[key]
+        return np.empty(shape)
+    size = int(np.prod(shape))
+    if (key, size) not in pool:
+        pool[key, size] = np.empty(size)
+    return pool[key, size].reshape(shape)
 
 
-def _reorder(a, index, axis):
-    """``a`` taken at ``index`` along ``axis``: a new array in ``a``'s memory layout."""
-    out = np.empty_like(a)
-    # np.take writes a C-contiguous ``out`` directly, so take in the axes' memory order
-    order = np.argsort(out.strides, kind="stable")[::-1]
-    np.take(a.transpose(order), index, axis=int(np.flatnonzero(order == axis)[0]),
-            out=out.transpose(order), mode="clip")
-    return out
+def _lend(spare, loans, shape):
+    """The next spare buffer, from a pass of the same signature, or a new one, onto ``loans``."""
+    out = next(spare, None)
+    loans.append(np.empty(shape) if out is None else out)
+    return loans[-1]
 
 
-def _lend(spare, loans, compute):
-    """``compute(out)`` into the next spare buffer, or a new one, and onto ``loans``.
-    The spares come from a pass of the same signature, so each has the layout
-    a new buffer would get."""
-    out = compute(next(spare, None))
-    loans.append(out)
-    return out
+def _reorder(a, layout, axis, back=False):
+    """``a`` in component order along ``axis`` (``back``: in label order), as a
+    new C-contiguous array: a plain copy when the two orders agree."""
+    if layout.identity:
+        return np.array(a, order="C")
+    return np.take(a, layout.inverse if back else layout.perm, axis=axis)
 
 
 def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
                   keep_tape: bool = True) -> ForwardTape:
     """Run the network over N stacked realizations at once.
 
-    ``x`` has shape (F_0, n, B); the same batch rides along every
-    realization.  Raises NumericalError naming the layer if an intermediate
-    stops being finite.  ``output`` and ``logits`` are always new arrays the
-    caller owns, bit-identical with and without ``keep_tape``.
+    ``x`` has shape (F_0, n, B), in any memory layout; the same batch rides
+    along every realization.  Raises NumericalError naming the layer if an
+    intermediate stops being finite.  ``output`` and ``logits`` are always
+    new arrays the caller owns, bit-identical with and without ``keep_tape``.
 
     Every filter (f, g) carries its input through its own K hops, so a
     shared draw, broadcast over the bank, costs as many products as
     independent ones.  Each hop multiplies the blocks of ``stack.layout``,
     one product per block size, on signals in its component order: ``x`` is
-    reordered on entry and the output back before the readout.  The tape
-    keeps that order.
+    copied into it on entry and the output back before the readout.  Every
+    array of the pass is C-contiguous, (count, F, [G,] n, B).  A layer writes
+    its K hops into one (N, F_out, F_in, K, n, B) buffer, and its taps of
+    orders 1..K reach the pre-activation as one matrix product over it, one
+    (1, F_in K) x (F_in K, B) product per node: BLAS may round a product's
+    last columns apart, and products alike for every node keep the outputs
+    bit for bit those of dense shifts, whatever the component order.
 
     Mask realizations keep the other arrays in buffers of this thread and
     ``stack.gres``; explicit matrices (``gres`` None) allocate them afresh.
-    A taped pass borrows its tape (hops, pre-activations, inputs of layers
-    >= 1) from the thread's one spare set, the buffers the last
+    A taped pass borrows its tape (hop buffers, pre-activations, inputs of
+    layers >= 1) from the thread's one spare set, the buffers the last
     ``backward_stack`` on this thread gave back, if that pass had the same
-    realization count and input and tap layouts; otherwise it
-    allocates.  The tape keeps them until ``backward_stack`` consumes it, so
-    a pending tape is never overwritten.
-    Without a tape the hops, like every pass's temporaries, go into the
-    thread's reused buffers.  ``train`` drops all of them when it returns.
+    realization count and input and tap shapes; otherwise it allocates.  The
+    tape keeps them until ``backward_stack`` consumes it, so a pending tape
+    is never overwritten.  Without a tape the hops, like every pass's
+    temporaries, go into the thread's reused buffers, one hop buffer for
+    all layers of its size.  ``train`` drops all of them when it returns.
     """
     arch = params.arch
     act, _ = _activation_fns(arch)
-    n, count = stack.n, stack.count
+    n, count, order = stack.n, stack.count, arch.order
     if x.shape[0] != arch.features[0] or x.shape[1] != n:
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
     gres, layout = stack.gres, stack.layout
     pool = None if gres is None else gres.thread_cache("hops")
     if keep_tape:
-        signature = (count, x.shape, x.strides) + tuple(
-            (t.shape, t.strides) for t in params.taps)
+        signature = (count, x.shape) + tuple(t.shape for t in params.taps)
         spare = iter(() if gres is None else gres.thread_cache("tapes").pop(signature, ()))
         loans = []
-        hold = lambda key, compute: _lend(spare, loans, compute)   # noqa: E731
+        hold = lambda key, shape: _lend(spare, loans, shape)   # noqa: E731
     else:
-        hold = lambda key, compute: _reused(pool, key, compute)    # noqa: E731
-    cur = np.broadcast_to(_reorder(x, layout.perm, 1), (count,) + x.shape)
+        hold = lambda key, shape: _reused(pool, key, shape)    # noqa: E731
+    cur = _reorder(x, layout, 1)[None]      # one copy broadcasts over the realizations
+    signal = x.shape[1:]
     layer_inputs, shifted, preacts = [], [], []
     for l in range(arch.layers):
         taps = params.taps[l]
+        f_out, f_in, _ = taps.shape
         s = stack.hops(l)
-        key = (l, taps.shape, taps.strides, cur.shape, cur.strides)
-        z = np.broadcast_to(cur[:, None], (count, taps.shape[0]) + cur.shape[1:])
-        u = hold(("u",) + key,
-                 lambda out: np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=out))
-        zs = []
-        for k in range(arch.order):
-            z = hold(("z", k % 2) + key, lambda out: layout.apply(s[k], z, out))
-            zs.append(z)
-            u += _reused(pool, ("term",) + key,
-                         lambda out: np.einsum("fg,nfgib->nfib", taps[:, :, k + 1], z, out=out))
+        hops = hold("hops", (count, f_out, f_in, order) + signal)
+        z = np.broadcast_to(cur[:, None], (len(cur), f_out) + cur.shape[1:])
+        for k in range(order):
+            z = layout.apply(s[k], z, hops[:, :, :, k])
+        u = hold(("u", l), (count, f_out) + signal)
+        np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=u)
+        by_node = hops.reshape((count, f_out, f_in * order) + signal).swapaxes(2, 3)
+        with np.errstate(over="ignore", invalid="ignore"):     # the check below names the layer
+            u += np.matmul(taps[:, :, None, 1:].reshape(f_out, 1, 1, f_in * order), by_node,
+                           out=_reused(pool, "term", u.shape)[:, :, :, None])[:, :, :, 0]
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite pre-activation at layer {l}")
         if keep_tape:
             layer_inputs.append(cur)
-            shifted.append(zs)
+            shifted.append(hops)
             preacts.append(u)
         if l + 1 == arch.layers:        # the output, in node order
-            u = _reorder(u, layout.inverse, 2)
-        elif keep_tape:                 # the activation goes into a copy in u's layout
-            u = hold(None, lambda out: np.positive(u, out=out))
+            u = _reorder(u, layout, 2, back=True)
+        elif keep_tape:                 # the activation goes into a copy
+            u = np.positive(u, out=hold(None, u.shape))
         cur = act(u)
     logits = None
     if params.readout_w is not None:
@@ -410,16 +413,18 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     """Exact reverse-mode gradients through a taped forward pass.
 
     ``d_output`` is the upstream gradient w.r.t. the pre-readout activations
-    (N, F_L, n, B); ``d_logits`` w.r.t. the readout logits.  Gradients are
-    summed over realizations and batch, so any averaging lives in the
-    upstream.  Returns SgnnParams-shaped gradients.
+    (N, F_L, n, B), in any memory layout; ``d_logits`` w.r.t. the readout
+    logits.  Gradients are summed over realizations and batch, so any
+    averaging lives in the upstream.  Returns SgnnParams-shaped gradients.
 
+    The upstream is taken into component order once (left as it is when
+    that is the label order), and every temporary is C-contiguous.  A
+    layer's tap gradients of orders 1..K are one matrix product of its hop
+    buffer with the pre-activation gradient, summed over realizations.
     The pass consumes the tape: its buffers replace the thread's spare set
     for the next taped pass of the same signature (see ``forward_stack``),
     its ``output`` and ``logits`` stay readable, and a second backward pass
-    on it raises ConfigError.  The temporaries (the
-    upstream gradient per layer, the accumulated hop gradients and their
-    matmul outputs) go into the thread's reused buffers.
+    on it raises ConfigError.  Its temporaries go into the thread's reused buffers.
     """
     params, stack = tape.params, tape.stack
     if tape.preacts is None:
@@ -429,45 +434,40 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
     arch = params.arch
     _, act_deriv = _activation_fns(arch)
     pool = None if stack.gres is None else stack.gres.thread_cache("scratch")
+    count, order = stack.count, arch.order
     grads = [np.zeros_like(t) for t in params.taps]
     gw = gb = None
     d_cur = None
     if d_logits is not None:
         if params.readout_w is None:
             raise ConfigError("d_logits given but the network has no readout")
-        flat = tape.output.reshape(stack.count, -1, tape.output.shape[-1])
+        flat = tape.output.reshape(count, -1, tape.output.shape[-1])
         gw = np.einsum("ncb,nmb->cm", d_logits, flat)
         gb = np.einsum("ncb->c", d_logits)
-        d_cur = _reused(pool, ("d_logits", d_logits.shape, d_logits.strides),
-                        lambda out: np.matmul(params.readout_w.T, d_logits, out=out))
-        d_cur = d_cur.reshape(tape.output.shape)
+        d_cur = np.matmul(params.readout_w.T, d_logits,
+                          out=_reused(pool, "d_logits", flat.shape)).reshape(tape.output.shape)
     if d_output is not None:
-        d_cur = d_output if d_cur is None else _reused(
-            pool, ("d_sum", d_cur.shape, d_cur.strides, d_output.shape, d_output.strides),
-            lambda out: np.add(d_cur, d_output, out=out))
+        d_cur = d_output if d_cur is None else np.add(
+            d_cur, d_output, out=_reused(pool, "d_sum", tape.output.shape))
     if d_cur is None:
         raise ConfigError("no upstream gradient given")
     elif params.readout_w is not None and gw is None:
         gw = np.zeros_like(params.readout_w)
         gb = np.zeros_like(params.readout_b)
     layout = stack.layout
-    d_cur = _reorder(d_cur, layout.perm, 2)       # into the tape's component order
+    if not layout.identity:
+        d_cur = _reorder(d_cur, layout, 2)
 
-    k_order = arch.order
     for l in reversed(range(arch.layers)):
         taps = params.taps[l]
-        u, zs = tape.preacts[l], tape.shifted[l]
-        key = (l, taps.shape, taps.strides, u.shape, u.strides,
-               d_cur.shape, d_cur.strides)
-        # A new buffer comes from the expression a fresh result would: NumPy may
-        # evaluate `temporary * x` or `temporary + x` in place in a large
-        # temporary, and the buffer must get the layout that gives.
-        du = _reused(pool, ("du",) + key, lambda out: d_cur * act_deriv(u, np.empty_like(u))
-                     if out is None else np.multiply(d_cur, act_deriv(u, out), out=out))
+        f_out, f_in, _ = taps.shape
+        u, hops = tape.preacts[l], tape.shifted[l]
+        du = _reused(pool, "du", u.shape)
+        np.multiply(d_cur, act_deriv(u, du), out=du)
         g = grads[l]
         g[:, :, 0] = np.einsum("nfib,ngib->fg", du, tape.layer_inputs[l])
-        for k in range(k_order):
-            g[:, :, k + 1] = np.einsum("nfib,nfgib->fg", du, zs[k])
+        g[:, :, 1:] = (hops.reshape(count, f_out, f_in * order, u[0, 0].size)
+                       @ du.reshape(count, f_out, -1, 1)).sum(axis=0).reshape(f_out, f_in, order)
         if l == 0:
             break
         s = stack.hops(l)
@@ -475,15 +475,12 @@ def backward_stack(tape: ForwardTape, d_output: np.ndarray | None = None,
         def tap_term(k, out):     # hop k's tap times du, per filter
             return np.multiply(taps[:, :, k, None, None], du[:, :, None], out=out)
 
-        acc = _reused(pool, ("tap",) + key, lambda out: tap_term(k_order, out))
-        for k in range(k_order - 1, -1, -1):
-            mm = _reused(pool, ("mm", acc.strides) + key,
-                         lambda out: layout.apply(s[k], acc, out, transpose=True))
-            # acc was read, so its buffer may take the next one
-            acc = _reused(pool, ("acc", mm.strides) + key, lambda out: tap_term(k, None) + mm
-                          if out is None else np.add(tap_term(k, out), mm, out=out))
-        d_cur = _reused(pool, ("d_cur", acc.strides) + key,
-                        lambda out: np.sum(acc, axis=1, out=out))
+        acc = tap_term(order, _reused(pool, "acc", hops.shape[:3] + u.shape[2:]))
+        mm = _reused(pool, "mm", acc.shape)
+        for k in range(order - 1, -1, -1):
+            layout.apply(s[k], acc, mm, transpose=True)
+            np.add(tap_term(k, acc), mm, out=acc)      # acc was read into mm
+        d_cur = np.sum(acc, axis=1, out=_reused(pool, "d_cur", (count, f_in) + u.shape[2:]))
 
     if stack.gres is not None:
         spares = stack.gres.thread_cache("tapes")    # one spare set per thread

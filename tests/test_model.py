@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_seq, random_symmetric
+from conftest import random_seq, random_symmetric, small_gres
 from sgnn import model as M
 from sgnn.errors import ConfigError, NumericalError
+from sgnn.estimators import sample_stack
 
 
 def scalar_forward(params, seq, x):
@@ -157,8 +158,8 @@ class TestForward:
         for l in range(arch.layers):
             np.testing.assert_array_equal(t_a.preacts[l], t_b.preacts[l])
             np.testing.assert_array_equal(t_a.layer_inputs[l], t_b.layer_inputs[l])
-            for za, zb in zip(t_a.shifted[l], t_b.shifted[l]):
-                np.testing.assert_array_equal(za, zb)
+            assert t_a.shifted[l].shape == (1, arch.features[l + 1], arch.features[l], 2, 5, 1)
+            np.testing.assert_array_equal(t_a.shifted[l], t_b.shifted[l])
         np.testing.assert_array_equal(t_a.output, t_b.output)
 
     def test_positively_homogeneous_halving(self, rng):
@@ -263,6 +264,63 @@ class TestBackward:
         tape.params = params.replace_arrays([a.copy() for a in params.arrays()])
         with pytest.raises(NumericalError, match="stale"):
             M.backward_stack(tape, d_output=np.ones_like(tape.output))
+
+
+# (features, order, readout): an empty hop buffer, order >= 2 with F_in > 1, a readout
+BATCHED_CASES = [((1, 1), 0, None), ((2, 3, 2), 2, None), ((1, 3, 2, 1), 3, 2)]
+
+
+def batched_case(rng, features, order, readout, stacked):
+    """A network, its realizations and a batch of B = 4 inputs on 6 nodes: one
+    sequence of explicit matrices, or three GRES sequences."""
+    arch = M.Architecture(features, order, activation="leaky_relu", readout=readout)
+    params = M.init_params(arch, rng, n=6)
+    seq = sample_stack(small_gres(n=6), arch, 3, rng) if stacked else random_seq(arch, 6, rng)
+    return params, seq, rng.normal(size=(features[0], 6, 4))
+
+
+class TestBatchedContraction:
+    """The stacked hop buffer and the tap contractions over it, at B = 4."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("features,order,readout", BATCHED_CASES)
+    def test_matches_scalar_loop(self, rng, features, order, readout, stacked):
+        params, stack, x = batched_case(rng, features, order, readout, stacked)
+        tape = M.forward_stack(params, stack, x)
+        for j in range(stack.count):
+            seq = stack.seq(j)
+            np.testing.assert_allclose(tape.output[j], scalar_forward(params, seq, x), atol=1e-12)
+            for l, hops in enumerate(tape.shifted):   # hop k of filter (f, g) at [:, f, g, k - 1]
+                assert hops.shape == (stack.count,) + params.taps[l].shape[:2] + (order, 6, 4)
+                for f, g in np.ndindex(*params.taps[l].shape[:2]):
+                    z = tape.layer_inputs[l][min(j, len(tape.layer_inputs[l]) - 1), g]
+                    for k in range(1, order + 1):
+                        z = seq.shift(l, f, g, k) @ z
+                        np.testing.assert_allclose(hops[j, f, g, k - 1], z, atol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("features,order,readout", BATCHED_CASES)
+    def test_finite_difference(self, rng, features, order, readout, stacked):
+        params, stack, x = batched_case(rng, features, order, readout, stacked)
+
+        def prediction(p):
+            tape = M.forward_stack(p, stack, x)
+            return tape, tape.logits if readout else tape.output
+
+        tape, pred = prediction(params)
+        t = rng.normal(size=pred.shape)
+        upstream = {"d_logits" if readout else "d_output": pred - t}
+        grads = M.backward_stack(tape, **upstream).flatten()
+        flat = params.flatten()
+        num = np.zeros_like(flat)
+        for i in range(flat.size):
+            e = np.zeros_like(flat)
+            e[i] = 1e-5
+            plus, minus = (0.5 * float(np.sum((prediction(params.unflatten(flat + d))[1] - t) ** 2))
+                           for d in (e, -e))
+            num[i] = (plus - minus) / 2e-5
+        denom = np.maximum(np.abs(num) + np.abs(grads), 1e-6)
+        assert np.max(np.abs(num - grads) / denom) < 1e-5
 
 
 class TestFrequencyResponse:

@@ -158,8 +158,8 @@ def test_repeated_lagrangians_reuse_one_tape_and_match_explicit_matrices(monkeyp
     for seed in range(4):
         masks.append(lagrangian(params, gamma, gres, batch, cfg, np.random.default_rng(seed)))
         held.append([id(buf) for bufs in spares.values() for buf in bufs])
-    # per layer the pre-activation and K hops, plus the inputs of layers >= 1
-    assert len(held[0]) == arch.layers * (arch.order + 1) + arch.layers - 1
+    # per layer the pre-activation and the hop buffer, plus the inputs of layers >= 1
+    assert len(held[0]) == arch.layers * 2 + arch.layers - 1
     assert held[1:] == held[:-1]
 
     def as_matrices(gres, arch, count, rng, mode):
@@ -201,7 +201,7 @@ def test_output_only_forward_is_bit_identical(activation, mode):
     arch = Architecture((2, 3, 2, 1), 2, activation=activation, readout=3)
     params = init_params(arch, np.random.default_rng(5), n=gres.n)
     rng = np.random.default_rng(6)
-    # samples on the first axis, moved last: the layout the datasets hand out
+    # samples on the first axis, moved last: a view in another layout than the tape's
     x = np.moveaxis(rng.normal(size=(7, 2, gres.n)), 0, -1)
     stacks = [sample_stack(gres, arch, 3, rng, mode) for _ in range(3)]
     kept = []
@@ -336,10 +336,11 @@ def test_the_layout_groups_components_by_size_in_label_order():
     assert layout.classes == ((1, 3, 0, 0), (2, 2, 3, 3), (3, 1, 7, 11), (4, 1, 10, 20))
     np.testing.assert_array_equal(layout.perm, [8, 10, 13, 0, 5, 6, 12, 1, 3, 7, 2, 4, 9, 11])
     np.testing.assert_array_equal(layout.perm[layout.inverse], np.arange(14))
-    assert layout.width == 3 + 2 * 4 + 9 + 16
+    assert layout.width == 3 + 2 * 4 + 9 + 16 and not layout.identity
     connected = sbm_gres().layout
     assert connected.classes == ((12, 1, 0, 0),)
     np.testing.assert_array_equal(connected.perm, np.arange(12))
+    assert connected.identity
 
 
 @pytest.mark.parametrize("count", [1, 10])
@@ -375,9 +376,9 @@ def test_isolated_nodes_hop_to_positive_zero():
     size, count, node, _ = gres.layout.classes[0]
     assert size == 1 and count == 3
     for hops in tape.shifted:
-        for z in hops:
-            rows = z[..., node:node + count, :]
-            assert np.all(rows == 0.0) and not np.signbit(rows).any()
+        assert hops.shape[3] == arch.order
+        rows = hops[..., node:node + count, :]
+        assert np.all(rows == 0.0) and not np.signbit(rows).any()
 
 
 def test_the_recsys_workspace_holds_only_the_blocks(tmp_path):
@@ -399,3 +400,36 @@ def test_the_recsys_workspace_holds_only_the_blocks(tmp_path):
     workspaces = gres.thread_cache("workspaces")
     assert {rows: ws[0].shape for rows, ws in workspaces.items()} == {320: (320, blocks)}
     assert workspaces[320][0].nbytes == 320 * blocks * 8
+
+
+@pytest.mark.parametrize("readout", [4, None])
+@pytest.mark.parametrize("make", [forest_gres, sbm_gres])
+def test_the_passes_do_not_depend_on_the_input_layout(make, readout):
+    # (F_in, F_out) is (2, 3) and then (3, 2); without a readout the upstream
+    # is the masked-MSE gradient, as on the recommender task
+    gres = make()
+    arch = Architecture((2, 3, 2), 3, activation="leaky_relu", readout=readout)
+    params = init_params(arch, np.random.default_rng(5), n=gres.n)
+    rng = np.random.default_rng(6)
+    samples, targets = rng.normal(size=(5, 2, gres.n)), rng.normal(size=(5, gres.n))
+    masks = (rng.random((5, gres.n)) < 0.5).astype(float)
+    stack = sample_stack(gres, arch, 3, rng)
+    loss = training.Loss("masked_mse")
+    results = []
+    for order in (np.ascontiguousarray, lambda a: a):     # a sample-major moveaxis view
+        def sample_last(a):
+            return order(np.moveaxis(a, 0, -1))
+        batch = Batch(sample_last(samples), sample_last(targets), sample_last(masks))
+        assert batch.x.flags.c_contiguous == (order is np.ascontiguousarray)
+        tape = forward_stack(params, stack, batch.x)
+        for a in tape.layer_inputs + tape.shifted + tape.preacts + [tape.output]:
+            assert a.flags.c_contiguous
+        output, logits = tape.output.copy(), tape.logits
+        if readout:
+            grads = backward_stack(tape, d_logits=np.cos(tape.logits))
+        else:
+            upstream = loss.grad(tape.output[:, 0], batch)[:, None]
+            grads = backward_stack(tape, d_output=upstream)
+        results.append((output, logits, grads.flatten()))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
