@@ -285,6 +285,11 @@ class BlockLayout:
         """Entries of one packed shift: the sum of its squared block sizes."""
         return self.index.size
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The packed positions of the diagonal entries."""
+        return np.flatnonzero(self.index % (self.perm.size + 1) == 0)
+
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """(..., width) blocks as fresh dense (..., n, n) shifts in the original labels."""
         n = self.perm.size
@@ -305,6 +310,16 @@ class BlockLayout:
             split = lambda a: a.reshape(a.shape[:-2] + (count, size, a.shape[-1]))  # noqa: E731
             np.matmul(np.swapaxes(s, -1, -2) if transpose else s, split(z[..., rows, :]),
                       out=split(out[..., rows, :]))
+        return out
+
+    def compose(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = a b for packed shifts (..., width), broadcast over the
+        leading axes: one product per block size."""
+        for size, count, _, entry in self.classes:
+            def blocks(m):
+                m = m[..., entry:entry + count * size * size]
+                return m.reshape(m.shape[:-1] + (count, size, size))
+            np.matmul(blocks(a), blocks(b), out=blocks(out))
         return out
 
 

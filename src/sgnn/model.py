@@ -322,14 +322,30 @@ def _reorder(a, layout, axis, back=False):
     return np.take(a, layout.inverse if back else layout.perm, axis=axis)
 
 
+def _filter_matrices(taps, hops, layout, pool):
+    """Each filter's matrix h_0 I + sum_k h_k S_k ... S_1 as packed blocks of
+    ``layout``, (N, F_out, F_in, width), from the hop-first shifts ``hops``."""
+    order = taps.shape[2] - 1
+    h = np.multiply(taps[:, :, 1, None], hops[0], out=_reused(pool, "h", hops.shape[1:]))
+    prod = hops[0]
+    spare = [_reused(pool, ("prod", i), h.shape) for i in range(2)]
+    for k in range(1, order):
+        # P_k into one buffer; P_{k-1} is then done with, and its buffer takes h_k P_k
+        prod, term = layout.compose(hops[k], prod, spare[k % 2]), spare[(k + 1) % 2]
+        h += np.multiply(taps[:, :, k + 1, None], prod, out=term)
+    h[..., layout.diagonal] += taps[:, :, 0, None]
+    return h
+
+
 def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
                   keep_tape: bool = True) -> ForwardTape:
     """Run the network over N stacked realizations at once.
 
     ``x`` has shape (F_0, n, B), in any memory layout; the same batch rides
-    along every realization.  Raises NumericalError naming the layer if an
-    intermediate stops being finite.  ``output`` and ``logits`` are always
-    new arrays the caller owns, bit-identical with and without ``keep_tape``.
+    along every realization, and any other shape raises ConfigError.  Raises
+    NumericalError naming the layer if an intermediate stops being finite.
+    ``output`` and ``logits`` are always new arrays the caller owns,
+    bit-identical with and without ``keep_tape`` when B < n.
 
     Every filter (f, g) carries its input through its own K hops, so a
     shared draw, broadcast over the bank, costs as many products as
@@ -353,11 +369,23 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
     is never overwritten.  Without a tape the hops, like every pass's
     temporaries, go into the thread's reused buffers, one hop buffer for
     all layers of its size.  ``train`` drops all of them when it returns.
+
+    A tape-free pass of order K >= 1 over B >= n columns applies each
+    filter's matrix H = h_0 I + sum_k h_k P_k instead, with the prefix
+    products P_1 = S_1 and P_k = S_k P_{k-1} formed block by block
+    (``BlockLayout.compose``): one block product of H per filter, summed
+    over the input features.  Per block of size s that is (K-1) s^3 + s^2 B
+    multiply-adds against K s^2 B for the hops, never more when s <= B, and
+    its buffers, three packed matrices per filter and one (N, F_out, F_in,
+    n, B) product, replace the K-hop buffer.  Its outputs agree with a
+    taped pass's to rounding, not bit for bit.  The threshold is n, not the
+    largest block, so explicit matrices (one n-block) and GRES blocks take
+    the same arithmetic and stay bit for bit equal.
     """
     arch = params.arch
     act, _ = _activation_fns(arch)
     n, count, order = stack.n, stack.count, arch.order
-    if x.shape[0] != arch.features[0] or x.shape[1] != n:
+    if x.ndim != 3 or x.shape[0] != arch.features[0] or x.shape[1] != n:
         raise ConfigError(f"input shape {x.shape} does not match (F0={arch.features[0]}, n={n}, B)")
     gres, layout = stack.gres, stack.layout
     pool = None if gres is None else gres.thread_cache("hops")
@@ -368,6 +396,7 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         hold = lambda key, shape: _lend(spare, loans, shape)   # noqa: E731
     else:
         hold = lambda key, shape: _reused(pool, key, shape)    # noqa: E731
+    wide = not keep_tape and order > 0 and x.shape[2] >= n
     cur = _reorder(x, layout, 1)[None]      # one copy broadcasts over the realizations
     signal = x.shape[1:]
     layer_inputs, shifted, preacts = [], [], []
@@ -375,16 +404,26 @@ def forward_stack(params: SgnnParams, stack: Realizations, x: np.ndarray,
         taps = params.taps[l]
         f_out, f_in, _ = taps.shape
         s = stack.hops(l)
-        hops = hold("hops", (count, f_out, f_in, order) + signal)
-        z = np.broadcast_to(cur[:, None], (len(cur), f_out) + cur.shape[1:])
-        for k in range(order):
-            z = layout.apply(s[k], z, hops[:, :, :, k])
         u = hold(("u", l), (count, f_out) + signal)
-        np.einsum("fg,ngib->nfib", taps[:, :, 0], cur, out=u)
-        by_node = hops.reshape((count, f_out, f_in * order) + signal).swapaxes(2, 3)
         with np.errstate(over="ignore", invalid="ignore"):     # the check below names the layer
-            u += np.matmul(taps[:, :, None, 1:].reshape(f_out, 1, 1, f_in * order), by_node,
-                           out=_reused(pool, "term", u.shape)[:, :, :, None])[:, :, :, 0]
+            if wide:        # each filter's matrix, applied once
+                h = _filter_matrices(taps, s, layout, pool)
+                if f_in == 1:
+                    layout.apply(h, cur[:, None], u[:, :, None])
+                else:
+                    y = layout.apply(h, cur[:, None], _reused(pool, "hops", h.shape[:3] + signal))
+                    np.sum(y, axis=2, out=u)
+            else:
+                hops = hold("hops", (count, f_out, f_in, order) + signal)
+                z = np.broadcast_to(cur[:, None], (len(cur), f_out) + cur.shape[1:])
+                for k in range(order):
+                    z = layout.apply(s[k], z, hops[:, :, :, k])
+                by_node = hops.reshape((count, f_out, f_in * order) + signal).swapaxes(2, 3)
+                np.matmul(taps[:, :, None, 1:].reshape(f_out, 1, 1, f_in * order), by_node,
+                          out=u[:, :, :, None])
+                # the order-0 term, once for an input that all realizations share
+                u += np.einsum("fg,ngib->nfib", taps[:, :, 0], cur,
+                               out=_reused(pool, "base", (len(cur), f_out) + signal))
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"non-finite pre-activation at layer {l}")
         if keep_tape:

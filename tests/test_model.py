@@ -270,13 +270,13 @@ class TestBackward:
 BATCHED_CASES = [((1, 1), 0, None), ((2, 3, 2), 2, None), ((1, 3, 2, 1), 3, 2)]
 
 
-def batched_case(rng, features, order, readout, stacked):
-    """A network, its realizations and a batch of B = 4 inputs on 6 nodes: one
+def batched_case(rng, features, order, readout, stacked, batch=4):
+    """A network, its realizations and a batch of B inputs on 6 nodes: one
     sequence of explicit matrices, or three GRES sequences."""
     arch = M.Architecture(features, order, activation="leaky_relu", readout=readout)
     params = M.init_params(arch, rng, n=6)
     seq = sample_stack(small_gres(n=6), arch, 3, rng) if stacked else random_seq(arch, 6, rng)
-    return params, seq, rng.normal(size=(features[0], 6, 4))
+    return params, seq, rng.normal(size=(features[0], 6, batch))
 
 
 class TestBatchedContraction:
@@ -321,6 +321,50 @@ class TestBatchedContraction:
             num[i] = (plus - minus) / 2e-5
         denom = np.maximum(np.abs(num) + np.abs(grads), 1e-6)
         assert np.max(np.abs(num - grads) / denom) < 1e-5
+
+
+# a single hop and no products of shifts, then order >= 2 with F_in > 1, with and without a readout
+WIDE_CASES = [((2, 2), 1, None)] + BATCHED_CASES[1:]
+
+
+class TestWideBatches:
+    """Tape-free passes over B >= n columns apply each filter's matrix
+    h_0 I + sum_k h_k S_k ... S_1; narrower and taped passes hop."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("batch", [6, 19])       # B = n and B = 3n + 1
+    @pytest.mark.parametrize("features,order,readout", WIDE_CASES)
+    def test_matches_the_taped_pass_and_the_scalar_loop(self, rng, features, order, readout,
+                                                         stacked, batch):
+        params, stack, x = batched_case(rng, features, order, readout, stacked, batch)
+        free = M.forward_stack(params, stack, x, keep_tape=False)
+        taped = M.forward_stack(params, stack, x)
+        for got, want in ((free.output, taped.output), (free.logits, taped.logits)):
+            if want is not None:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for j in range(stack.count):
+            np.testing.assert_allclose(free.output[j], scalar_forward(params, stack.seq(j), x),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("features,order,readout", WIDE_CASES)
+    def test_below_n_columns_the_tape_free_pass_is_the_taped_one(self, rng, features, order,
+                                                                  readout, stacked):
+        params, stack, x = batched_case(rng, features, order, readout, stacked, batch=5)
+        free = M.forward_stack(params, stack, x, keep_tape=False)
+        taped = M.forward_stack(params, stack, x)
+        np.testing.assert_array_equal(free.output, taped.output)
+        np.testing.assert_array_equal(free.logits, taped.logits)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (1, 9, 9, 2)])
+    def test_input_must_be_three_dimensional(self, rng, shape):
+        arch = M.Architecture((1, 2, 1), 2)
+        params = M.init_params(arch, rng)
+        stack = sample_stack(small_gres(n=9), arch, 1, rng)
+        for keep_tape in (True, False):
+            with pytest.raises(ConfigError, match="input shape"):
+                M.forward_stack(params, stack, np.ones(shape), keep_tape)
 
 
 class TestFrequencyResponse:

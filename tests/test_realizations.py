@@ -354,17 +354,34 @@ def test_block_products_match_explicit_dense_shifts(make, mode, count):
     rng = np.random.default_rng(6)
     x = np.moveaxis(rng.normal(size=(7, 2, gres.n)), 0, -1)
     stacks = [sample_stack(gres, arch, count, rng, mode) for _ in range(3)]
+    wide = rng.normal(size=(2, gres.n, 3 * gres.n + 1))   # tape-free: each filter's matrix
     for stack in stacks + stacks[::-1]:      # each draw starts from another's leftovers
         dense = as_explicit(stack)
-        for keep_tape in (True, False):
-            got = forward_stack(params, stack, x, keep_tape)
-            want = forward_stack(params, dense, x, keep_tape)
+        for batch, keep_tape in ((wide, True), (wide, False), (x, True), (x, False)):
+            got = forward_stack(params, stack, batch, keep_tape)
+            want = forward_stack(params, dense, batch, keep_tape)
             np.testing.assert_array_equal(got.output, want.output)
             np.testing.assert_array_equal(got.logits, want.logits)
         upstream = np.cos(got.logits)
         got_g = backward_stack(forward_stack(params, stack, x), d_logits=upstream).flatten()
         want_g = backward_stack(forward_stack(params, dense, x), d_logits=upstream).flatten()
         assert np.max(np.abs(got_g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+
+
+@pytest.mark.parametrize("make", [sbm_gres, forest_gres])
+def test_wide_passes_on_one_input_feature_match_explicit_dense_shifts(make):
+    # with F_in = 1 a layer's filter products go straight into its pre-activation
+    gres = make()
+    arch = Architecture((1, 3, 2, 1), 3, activation="leaky_relu", readout=4)
+    params = init_params(arch, np.random.default_rng(5), n=gres.n)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(1, gres.n, gres.n))
+    for count in (1, 10):
+        stack = sample_stack(gres, arch, count, rng)
+        got = forward_stack(params, stack, x, keep_tape=False)
+        want = forward_stack(params, as_explicit(stack), x, keep_tape=False)
+        np.testing.assert_array_equal(got.output, want.output)
+        np.testing.assert_array_equal(got.logits, want.logits)
 
 
 def test_isolated_nodes_hop_to_positive_zero():
