@@ -15,7 +15,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -28,6 +27,7 @@ from .errors import ConfigError, NumericalError, SgnnError
 from .estimators import McConfig, write_moments
 from .experiments import (
     RECSYS,
+    RESULTS_COLUMNS,
     SOURCE_LOCALIZATION,
     ExperimentConfig,
     RecsysConfig,
@@ -39,12 +39,11 @@ from .experiments import (
     read_results,
     run_cv_sweep,
     run_experiment,
-    write_results,
     write_synthetic_movielens,
 )
 from .graphs import GresModel, build_shift, save_shift
 from .model import Architecture, init_params, load_params, save_params
-from .training import TrainConfig, TrainTrace, _csv_cells, train
+from .training import TRACE_COLUMNS, TrainConfig, TrainTrace, train
 from .verify import (
     BoundReport,
     check_chebyshev,
@@ -56,6 +55,7 @@ from .verify import (
     convergence_diagnostics,
     write_reports,
 )
+from .util import read_csv, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,6 +166,8 @@ def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> Experim
             isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < float("inf")
             for v in cv_values):
         raise ConfigError(f"cv_values must be a list of finite numbers >= 0, got {cv_values!r}")
+    if len(set(cv_values)) < len(cv_values):
+        raise ConfigError(f"cv_values repeats a value: {cv_values!r}")
     if "architecture" in doc:
         kwargs["arch"] = _build(doc["architecture"], Architecture, "architecture")
     return ExperimentConfig(
@@ -175,15 +177,25 @@ def parse_experiment_config(doc: dict, seed: int, full: bool = False) -> Experim
         master_seed=seed, **kwargs)
 
 
-def _prepare_out_dir(out_dir, overwrite: bool, expected_files) -> None:
+def _prepare_out_dir(out_dir, overwrite: bool, outputs) -> None:
+    """Create ``out_dir``, and find the files in it that ``outputs`` names:
+    regular expressions over paths relative to it, such as
+    ``trace_.*[.]csv`` or ``reports/.*[.]json``.  Refuse to run over them,
+    or under ``overwrite`` delete them all."""
     os.makedirs(out_dir, exist_ok=True)
-    if overwrite:
-        return
-    clashes = [f for f in expected_files if os.path.exists(os.path.join(out_dir, f))]
-    if clashes:
+    found = []
+    for pattern in outputs:
+        sub, _, name = pattern.rpartition("/")
+        folder = os.path.join(out_dir, sub)
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else []
+        found += [os.path.join(sub, f) for f in names
+                  if re.fullmatch(name, f) and os.path.isfile(os.path.join(folder, f))]
+    if found and not overwrite:
         raise ConfigError(
-            f"output files already exist in {out_dir}: {', '.join(clashes)} "
+            f"output files already exist in {out_dir}: {', '.join(found)} "
             "(pass --overwrite to replace them)")
+    for f in found:
+        os.remove(os.path.join(out_dir, f))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +207,7 @@ def cmd_train(args) -> int:
     doc = load_config(args.config, args.override, args.full)
     cfg = parse_experiment_config(doc, args.seed)
     _prepare_out_dir(args.out, args.overwrite,
-                     ["trace.csv", "checkpoint.json", "summary.json"])
+                     ["trace[.]csv", "checkpoint(_[0-9]+)?[.]json", "summary[.]json"])
     p = cfg.p_values[0]
     gres, dataset, _ = cell_task(cfg, 0, p, load_task(cfg))
     params0 = init_params(cfg.arch, rngmod.derive(cfg.master_seed, 2, 0), n=gres.n)
@@ -205,8 +217,7 @@ def cmd_train(args) -> int:
 
     def checkpointer(t, params, gamma, trace):
         # stream the fresh row so a long run can be watched (and survives aborts)
-        with open(trace_path, "a", newline="") as f:
-            csv.writer(f).writerow(_csv_cells(trace.rows[-1]))
+        write_csv(trace_path, TRACE_COLUMNS, trace.rows[-1:], append=True)
         if ckpt_every and (t + 1) % ckpt_every == 0:
             save_params(os.path.join(args.out, f"checkpoint_{t + 1}.json"),
                         params, iteration=t + 1)
@@ -224,15 +235,14 @@ def cmd_train(args) -> int:
         "mode": cfg.train.mode,
         "p": p,
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     doc = load_config(args.config, args.override, args.full)
     cfg = parse_experiment_config(doc, args.seed)
-    _prepare_out_dir(args.out, args.overwrite, ["results.csv"])
+    _prepare_out_dir(args.out, args.overwrite, ["results[.]csv"])
     params, _, _ = load_params(args.checkpoint)
     task = load_task(cfg)
     rows = []
@@ -241,7 +251,7 @@ def cmd_eval(args) -> int:
         metrics = evaluate(params, cfg.eval_draws,
                            rngmod.derive(cfg.master_seed, 4, rngmod.stream_key(p)))
         rows.extend(metric_rows(cfg.task, "eval", p, gres.q, 0, metrics))
-    write_results(os.path.join(args.out, "results.csv"), rows)
+    write_csv(os.path.join(args.out, "results.csv"), RESULTS_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -265,25 +275,13 @@ def _default_verify_fixture(seed: int):
     return gres, params, x
 
 
-def _remove_verify_outputs(out_dir) -> None:
-    """Delete ``moments.csv`` and the per-check JSON reports of an earlier run,
-    so that a narrower rerun leaves none of them behind."""
-    reports = os.path.join(out_dir, "reports")
-    pattern = re.compile("(%s)(-[0-9]+)?[.]json" % "|".join(VERIFY_CHECKS))
-    names = os.listdir(reports) if os.path.isdir(reports) else []
-    stale = [os.path.join(reports, f) for f in names if pattern.fullmatch(f)]
-    for path in stale + [os.path.join(out_dir, "moments.csv")]:
-        if os.path.isfile(path):
-            os.remove(path)
-
-
 def cmd_verify(args) -> int:
     only = args.only
     if only is not None and only not in VERIFY_CHECKS:
         raise ConfigError(f"unknown check {only!r}; available: {', '.join(VERIFY_CHECKS)}")
-    _prepare_out_dir(args.out, args.overwrite, ["verify.csv", "moments.csv"])
-    if args.overwrite:
-        _remove_verify_outputs(args.out)
+    _prepare_out_dir(args.out, args.overwrite,
+                     ["verify[.]csv", "moments[.]csv",
+                      "reports/(%s)(-[0-9]+)?[.]json" % "|".join(VERIFY_CHECKS)])
     gres, params, x = _default_verify_fixture(args.seed)
     reports: list[BoundReport] = []
 
@@ -328,7 +326,8 @@ def cmd_verify(args) -> int:
 def cmd_gen_data(args) -> int:
     doc = load_config(args.config, args.override, args.full)
     cfg = parse_experiment_config(doc, args.seed)
-    _prepare_out_dir(args.out, args.overwrite, ["dataset.npz", "graph.csv", "u.data"])
+    _prepare_out_dir(args.out, args.overwrite,
+                     ["dataset[.]npz", "graph[.]csv([.]json)?", "u[.]data"])
     ratings = None
     if cfg.task == RECSYS:
         path = os.path.join(args.out, "u.data")
@@ -354,19 +353,23 @@ FIGURE_FILES = {
 
 
 def cmd_report(args) -> int:
-    _prepare_out_dir(args.out, args.overwrite, list(FIGURE_FILES))
-    rows = read_results(args.results) if args.results and os.path.exists(args.results) else []
-    results_dir = os.path.dirname(args.results) if args.results else "."
+    """Figure CSVs from ``--results`` and the traces and ``lipschitz.csv``
+    beside it; with no ``--results``, the headers alone."""
+    if args.results and not os.path.isfile(args.results):
+        raise ConfigError(f"results file not found: {args.results}")
+    _prepare_out_dir(args.out, args.overwrite, [re.escape(name) for name in FIGURE_FILES])
+    rows = read_results(args.results) if args.results else []
+    results_dir = (os.path.dirname(args.results) or ".") if args.results else None
+    names = sorted(os.listdir(results_dir)) if results_dir else []
     data = {name: [] for name in FIGURE_FILES}
 
     # fig1a: cost convergence curves from traces
-    if os.path.isdir(results_dir):
-        for fname in sorted(os.listdir(results_dir)):
-            if fname.startswith("trace_source_localization_primal_dual") and fname.endswith(".csv"):
-                p_tag = fname.split("_p")[-1].split("_s")[0]
-                trace = TrainTrace.from_csv(os.path.join(results_dir, fname))
-                for r in trace.rows:
-                    data["fig1a.csv"].append([p_tag, r["iter"], r["mean_cost"]])
+    for fname in names:
+        if fname.startswith("trace_source_localization_primal_dual") and fname.endswith(".csv"):
+            p_tag = fname.split("_p")[-1].split("_s")[0]
+            trace = TrainTrace.from_csv(os.path.join(results_dir, fname))
+            for r in trace.rows:
+                data["fig1a.csv"].append([p_tag, r["iter"], r["mean_cost"]])
     for r in rows:
         if r["task"] == SOURCE_LOCALIZATION and r["metric"] == "accuracy":
             data["fig1b.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
@@ -374,28 +377,23 @@ def cmd_report(args) -> int:
             data["fig3a.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
         if r["task"] == RECSYS and r["metric"] == "ad_at_10":
             data["fig3b.csv"].append([r["p"], r["mode"], r["mean"], r["std"]])
-    lip_path = os.path.join(results_dir, "lipschitz.csv") if args.results else None
-    if lip_path and os.path.exists(lip_path):
-        acc = {}
-        with open(lip_path, newline="") as f:
-            for row in csv.DictReader(f):
-                acc.setdefault(float(row["c_v"]), []).append(float(row["c_l"]))
-        for c_v in sorted(acc):
-            vals = np.array(acc[c_v])
-            data["fig2d.csv"].append([c_v, float(vals.mean()), float(vals.std(ddof=0))])
+    acc = {}
+    if "lipschitz.csv" in names:
+        for row in read_csv(os.path.join(results_dir, "lipschitz.csv")):
+            acc.setdefault(float(row["c_v"]), []).append(float(row["c_l"]))
+    for c_v in sorted(acc):
+        vals = np.array(acc[c_v])
+        data["fig2d.csv"].append([c_v, float(vals.mean()), float(vals.std(ddof=0))])
     for name, header in FIGURE_FILES.items():
-        with open(os.path.join(args.out, name), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            for row in data[name]:
-                writer.writerow(row)
+        write_csv(os.path.join(args.out, name), header, data[name])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     doc = load_config(args.config, args.override, args.full)
     cfg = parse_experiment_config(doc, args.seed)
-    _prepare_out_dir(args.out, args.overwrite, ["results.csv", "summary.json"])
+    _prepare_out_dir(args.out, args.overwrite, ["results[.]csv", "summary[.]json",
+                                                 "trace_.*[.]csv", "lipschitz[.]csv"])
     run_experiment(cfg, out_dir=args.out)
     if doc.get("cv_values"):
         run_cv_sweep(cfg, tuple(doc["cv_values"]), out_dir=args.out)

@@ -9,7 +9,6 @@ it honest.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .model import (
     SgnnParams,
     forward_stack,
 )
+from .util import write_csv
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,5 @@ MOMENTS_COLUMNS = ["p", "q", "N", "mean_cost", "first_moment", "second_moment", 
 def write_moments(path, p: float, q: float, report: MomentReport) -> None:
     """Write moments.csv afresh: the header and one verification row, whose
     ``mean_cost`` cell stays empty."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(MOMENTS_COLUMNS)
-        writer.writerow([repr(p), repr(q), report.n_samples, "",
-                         repr(report.first_moment), repr(report.second_moment),
-                         repr(report.variance)])
+    write_csv(path, MOMENTS_COLUMNS, [[p, q, report.n_samples, "", report.first_moment,
+                                       report.second_moment, report.variance]])

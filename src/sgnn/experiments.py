@@ -12,8 +12,6 @@ several graph seeds and writes plot-ready CSV rows.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -35,7 +33,7 @@ from .graphs import (
 )
 from .model import Architecture, forward_stack, init_params
 from .training import MODES, PRIMAL_DUAL, UNCONSTRAINED, Batch, TrainConfig, train
-from .util import parallel_map
+from .util import parallel_map, read_csv, write_csv, write_json
 from .verify import model_lipschitz
 
 
@@ -468,6 +466,12 @@ class ExperimentConfig:
         for seed in self.graph_seeds:
             if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
                 raise ConfigError(f"graph_seeds must be integers >= 0, got {seed!r}")
+        # one spelling of each p in results, summary keys and trace names
+        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
+        for key in ("p_values", "modes", "graph_seeds"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"sweep.{key} repeats a value: {list(values)!r}")
 
 
 def _evaluate_recsys(params, task, draws, rng, mode_realizations):
@@ -590,11 +594,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     summary = summarize_rows(rows)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_results(os.path.join(out_dir, "results.csv"), rows)
+        write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, rows)
         for name, trace in traces.items():
             trace.to_csv(os.path.join(out_dir, name))
-        with open(os.path.join(out_dir, "summary.json"), "w") as f:
-            json.dump(summary, f, indent=1, sort_keys=True)
+        write_json(os.path.join(out_dir, "summary.json"), summary)
     return rows, summary
 
 
@@ -616,27 +619,10 @@ def summarize_rows(rows: list) -> dict:
     return out
 
 
-def write_results(path, rows: list) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RESULTS_COLUMNS)
-        for r in rows:
-            writer.writerow([r["task"], r["mode"], repr(float(r["p"])), repr(float(r["q"])),
-                             r["graph_seed"], r["metric"], repr(float(r["mean"])),
-                             repr(float(r["std"]))])
-
-
 def read_results(path) -> list:
-    rows = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append({
-                "task": row["task"], "mode": row["mode"], "p": float(row["p"]),
-                "q": float(row["q"]), "graph_seed": int(row["graph_seed"]),
-                "metric": row["metric"], "mean": float(row["mean"]),
-                "std": float(row["std"]),
-            })
-    return rows
+    return [dict(row, p=float(row["p"]), q=float(row["q"]), graph_seed=int(row["graph_seed"]),
+                 mean=float(row["mean"]), std=float(row["std"]))
+            for row in read_csv(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +663,5 @@ def run_cv_sweep(cfg: ExperimentConfig, c_v_values=(0.1, 0.3, 0.5, 0.7),
     rows = parallel_map(run, [(seed, c_v) for seed in cfg.graph_seeds for c_v in c_v_values])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "lipschitz.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(LIPSCHITZ_COLUMNS)
-            for r in rows:
-                writer.writerow([repr(r["c_v"]), r["graph_seed"], repr(r["c_l"])])
+        write_csv(os.path.join(out_dir, "lipschitz.csv"), LIPSCHITZ_COLUMNS, rows)
     return rows

@@ -14,8 +14,6 @@ the unweighted degree form when all weights are 1.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import threading
 from contextlib import contextmanager
@@ -25,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphError
+from .util import write_csv, write_json
 
 ADJACENCY = "adjacency"
 
@@ -548,21 +547,13 @@ def pearson_correlations(ratings: np.ndarray, min_coraters: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_path(csv_path) -> str:
-    return str(csv_path) + ".json"
-
-
 def save_shift(csv_path, shift: ShiftOperator, gres: GresModel | None = None) -> None:
     """Write the edge list (header i,j,w) plus a JSON sidecar.
 
     The sidecar carries {n, kind, gres} where gres is null or the drop/add
     edge sets with their probabilities.
     """
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["i", "j", "w"])
-        for i, j, w in shift.edges():
-            writer.writerow([i, j, repr(w)])
+    write_csv(csv_path, ["i", "j", "w"], shift.edges())
     meta = {"n": shift.n, "kind": ADJACENCY, "gres": None}
     if gres is not None:
         meta["gres"] = {
@@ -571,5 +562,4 @@ def save_shift(csv_path, shift: ShiftOperator, gres: GresModel | None = None) ->
             "p": gres.p,
             "q": gres.q,
         }
-    with open(_sidecar_path(csv_path), "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
+    write_json(str(csv_path) + ".json", meta)

@@ -11,7 +11,6 @@ tests rely on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .errors import ConfigError, NumericalError, TrainingDiverged
 from .estimators import plugin_variance, sample_stack
 from .graphs import GresModel
 from .model import PER_FILTER, SHARED, SgnnParams, backward_stack, forward_stack
+from .util import read_csv, write_csv
 
 PRIMAL_DUAL = "primal_dual"
 UNCONSTRAINED = "unconstrained"
@@ -189,11 +189,6 @@ TRACE_COLUMNS = ["iter", "mean_cost", "first_moment", "second_moment", "variance
                  "gamma1", "gamma2", "lagrangian", "grad_norm", "slack1", "slack2"]
 
 
-def _csv_cells(row: dict) -> list:
-    """One trace row as CSV cells; floats by repr, so they read back exactly."""
-    return [repr(row[c]) if isinstance(row[c], float) else row[c] for c in TRACE_COLUMNS]
-
-
 @dataclass
 class TrainTrace:
     """One row of convergence diagnostics per outer iteration."""
@@ -210,19 +205,14 @@ class TrainTrace:
         return len(self.rows)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(TRACE_COLUMNS)
-            writer.writerows(_csv_cells(r) for r in self.rows)
+        write_csv(path, TRACE_COLUMNS, self.rows)
 
     @staticmethod
     def from_csv(path) -> "TrainTrace":
         trace = TrainTrace()
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                trace.append(**{c: (int(row[c]) if c == "iter" else float(row[c]))
-                                for c in TRACE_COLUMNS})
+        for row in read_csv(path):
+            trace.append(**{c: (int(row[c]) if c == "iter" else float(row[c]))
+                            for c in TRACE_COLUMNS})
         return trace
 
 

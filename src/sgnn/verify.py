@@ -10,8 +10,6 @@ dropped O(p^2 (1-p)^2) remainder is a documented caveat, never added back.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -35,6 +33,7 @@ from .model import (
     frequency_response_gradient,
     output_bound,
 )
+from .util import write_csv, write_json
 
 
 @dataclass
@@ -386,17 +385,12 @@ VERIFY_COLUMNS = ["check_name", "empirical", "bound", "slack", "violated", "stde
 
 def write_reports(reports: list, csv_path, json_dir=None) -> None:
     """verify.csv plus one JSON document per check."""
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(VERIFY_COLUMNS)
-        for r in reports:
-            writer.writerow([r.check_name, repr(r.empirical), repr(r.bound),
-                             repr(r.slack), int(r.violated), repr(r.stderr)])
+    write_csv(csv_path, VERIFY_COLUMNS, [[r.check_name, r.empirical, r.bound, r.slack,
+                                          int(r.violated), r.stderr] for r in reports])
     if json_dir is not None:
         os.makedirs(json_dir, exist_ok=True)
         counts = {}
         for r in reports:
             counts[r.check_name] = counts.get(r.check_name, 0) + 1
             name = r.check_name if counts[r.check_name] == 1 else f"{r.check_name}-{counts[r.check_name]}"
-            with open(os.path.join(json_dir, name + ".json"), "w") as f:
-                json.dump(r.to_dict(), f, indent=1, sort_keys=True)
+            write_json(os.path.join(json_dir, name + ".json"), r.to_dict())

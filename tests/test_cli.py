@@ -178,6 +178,16 @@ class TestTrainCommand:
         rc = cli.main(["train", "--config", tiny_config, "--out", str(out), "--overwrite"])
         assert rc == cli.EXIT_OK
 
+    def test_overwrite_removes_the_checkpoints_of_a_longer_run(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        for iters, flags in ((4, []), (2, ["--overwrite"])):
+            assert cli.main(["train", "--config", tiny_config, "--out", str(out),
+                             "--override", "train.checkpoint_every=1",
+                             "--override", f"train.max_iters={iters}"] + flags) == cli.EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "checkpoint.json", "checkpoint_1.json", "checkpoint_2.json", "summary.json",
+            "trace.csv"]
+
     def test_byte_identical_replay(self, tiny_config, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -228,6 +238,65 @@ class TestTrainCommand:
         assert rc == cli.EXIT_OK
         assert (out / "checkpoint_2.json").exists()
         assert (out / "checkpoint_4.json").exists()
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+class TestSweepCommand:
+    def test_an_integer_p_is_spelled_as_a_float_everywhere(self, tiny_config, tmp_path):
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                         "--override", "sweep.p_values=[0]"]) == cli.EXIT_OK
+        assert {r["p"] for r in read_rows(out / "results.csv")} == {"0.0"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["source_localization/unconstrained/accuracy/p=0.0",
+                                   "source_localization/unconstrained/cost/p=0.0"]
+        assert [f.name for f in out.glob("trace_*")] == [
+            "trace_source_localization_unconstrained_p0.0_s0.csv"]
+
+    @pytest.mark.parametrize("override", [
+        "sweep.p_values=[0.05, 0.05]", "sweep.p_values=[0, 0.0]",
+        'sweep.modes=["unconstrained", "unconstrained"]', "sweep.graph_seeds=[1, 1]",
+        "cv_values=[0.3, 0.3]"])
+    def test_a_repeated_sweep_value_exits_two_before_any_cell(self, tiny_config, tmp_path,
+                                                               capsys, override):
+        out = tmp_path / "s"
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out),
+                       "--override", override])
+        assert rc == cli.EXIT_CONFIG
+        assert "repeats a value" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_overwrite_removes_every_output_of_the_earlier_sweep(self, tiny_config, tmp_path):
+        out = tmp_path / "s"
+        sweep = ["sweep", "--config", tiny_config, "--out", str(out),
+                 "--override", 'sweep.modes=["primal_dual"]']
+        assert cli.main(sweep + ["--override", "sweep.p_values=[0.05, 0.25]",
+                                 "--override", "cv_values=[0.3]"]) == cli.EXIT_OK
+        (out / "kept.txt").write_text("mine")
+        assert cli.main(sweep + ["--override", "sweep.p_values=[0.05]",
+                                 "--overwrite"]) == cli.EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "kept.txt", "results.csv", "summary.json",
+            "trace_source_localization_primal_dual_p0.05_s0.csv"]
+        figs = tmp_path / "figs"
+        assert cli.main(["report", "--results", str(out / "results.csv"),
+                         "--out", str(figs)]) == cli.EXIT_OK
+        fig1a = read_rows(figs / "fig1a.csv")
+        assert len(fig1a) == 3 and {r["p"] for r in fig1a} == {"0.05"}
+        assert read_rows(figs / "fig2d.csv") == []
+
+    def test_refuses_to_run_over_any_output_it_writes(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "lipschitz.csv").write_text("c_v,graph_seed,c_l\n")
+        rc = cli.main(["sweep", "--config", tiny_config, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "lipschitz.csv" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["lipschitz.csv"]
 
 
 class TestVerifyCommand:
@@ -424,3 +493,24 @@ class TestReportCommand:
         assert len((out / "fig1b.csv").read_text().strip().splitlines()) == 2
         assert len((out / "fig3a.csv").read_text().strip().splitlines()) == 2
         assert len((out / "fig3b.csv").read_text().strip().splitlines()) == 2
+
+    def test_missing_results_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        rc = cli.main(["report", "--results", str(tmp_path / "missing" / "results.csv"),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "results file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_without_results_reads_nothing_from_the_working_directory(self, tmp_path,
+                                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        trace = TrainTrace()
+        trace.append(iter=0, mean_cost=1.0, first_moment=0.0, second_moment=0.1,
+                     variance=0.1, gamma1=0.0, gamma2=0.0, lagrangian=1.0,
+                     grad_norm=1.0, slack1=0.0, slack2=0.4)
+        trace.to_csv(tmp_path / "trace_source_localization_primal_dual_p0.1_s0.csv")
+        (tmp_path / "lipschitz.csv").write_text("c_v,graph_seed,c_l\n0.1,0,0.5\n")
+        assert cli.main(["report", "--out", "figs"]) == cli.EXIT_OK
+        for name, header in cli.FIGURE_FILES.items():
+            assert (tmp_path / "figs" / name).read_text().splitlines() == [",".join(header)]

@@ -94,3 +94,34 @@ def test_every_module_level_import_is_used():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+
+def _artifact_calls(module, node, where=None):
+    """(module, enclosing function) of every ``csv`` import and every
+    ``json.dump``/``json.dumps`` (or ``from json import dump``) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _artifact_calls(module, child, child.name)
+            continue
+        if isinstance(child, ast.Import) and any(a.name == "csv" for a in child.names) \
+                or isinstance(child, ast.ImportFrom) and child.module == "csv":
+            yield "csv", module, where
+        if isinstance(child, ast.Attribute) and child.attr in ("dump", "dumps") \
+                and isinstance(child.value, ast.Name) and child.value.id == "json" \
+                or isinstance(child, ast.ImportFrom) and child.module == "json":
+            yield "json.dump", module, where
+        yield from _artifact_calls(module, child, where)
+
+
+def test_artifacts_are_written_only_through_util():
+    """``csv`` is imported only by ``util``; JSON is dumped only by the
+    artifact writer and by the compact checkpoints."""
+    found = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as f:
+                found |= set(_artifact_calls(name, ast.parse(f.read())))
+    assert {(m, w) for kind, m, w in found if kind == "csv"} <= {("util.py", None)}
+    assert {(m, w) for kind, m, w in found if kind == "json.dump"} == \
+        {("util.py", "write_json"), ("model.py", "save_params")}
